@@ -13,6 +13,7 @@ from .conditional import (
     conditional_eval,
     conditional_eval_with_flags,
     cone_decompose,
+    core_bound,
     crafted_ladder,
     default_probes,
     recompose,
@@ -62,6 +63,7 @@ from .utility import (
     ScenarioSet,
     choquet_eval,
     core_extreme_points,
+    core_vertex,
     is_commonotone_pair,
     product_example_eval,
     relevance_check,

@@ -10,8 +10,16 @@ time-inconsistency certificate this module reports.
 The cone test asks the same question in decomposition form: an acceptable
 x splits as x = eta + zeta with eta F1-measurable acceptable today and
 zeta conditionally acceptable on every block. Monotonicity collapses that
-search to evaluating the blockwise upper envelope of eta, so no LP solver
-is needed; witnesses are re-verified numerically before being returned.
+search to evaluating the blockwise upper envelope of eta, the core bound
+min{E_Q[x | A] : Q in the dual set, Q(A) > 0} on each block A, so no LP
+solver is needed; witnesses are re-verified numerically before being
+returned. A scenario base lists its dual set, and the bound is a minimum
+over it. For a distortion base the dual set is the core of psi(P), and the
+bound is a linear-fractional program over it, solved by Dinkelbach's
+method (Dinkelbach 1967): each step takes the greedy core vertex of
+(x - t) 1_A, which minimises E_Q over the core, and moves t down to its
+conditional mean, so no core vertex is enumerated and no outcome cap
+applies.
 """
 
 from __future__ import annotations
@@ -25,9 +33,8 @@ from .space import Filtration, OutcomeSpace, Partition, RandomVariable
 from .utility import (
     CoherentUtility,
     choquet_eval,
-    core_extreme_points,
+    core_vertex,
     is_commonotone_pair,
-    scenario_min_eval,
 )
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
     "recompose",
     "two_period_eval",
     "tc_gap",
+    "core_bound",
     "cone_decompose",
     "conditional_commonotone_additivity_check",
     "crafted_ladder",
@@ -214,16 +222,42 @@ def tc_gap(
     )
 
 
-def _dual_vertices(cu: ConditionalUtility):
-    if cu.base.kind == "distortion":
-        return core_extreme_points(cu.base.distortion, cu.space).measures
-    return cu.base.scenarios.measures
+def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
+    """min{E_Q[x | A] : Q in the dual set of the base, Q(A) > 0} on block A.
 
+    Scenario bases take the minimum over their measures; when none charges
+    the block, eta there is unconstrained and the bound is max x on A.
+    Distortion bases run Dinkelbach's iteration from t = E_P[x | A] (P lies
+    in the core): the greedy vertex Q of (x - t) 1_A minimises
+    E_Q[(x - t) 1_A] over the core, so t is the bound once that minimum is
+    nonnegative, and otherwise E_Q[x | A] < t is the next t. Each step costs
+    one sort and one pass of psi over the outcomes; the iteration also stops
+    when t fails to decrease, so float noise cannot make it cycle.
+    """
+    if cu.base.kind == "scenario":
+        cap = None
+        for q in cu.base.scenarios.measures:
+            qa = sum(float(q[i]) for i in block)
+            if qa <= 0.0:
+                continue
+            cond = sum(float(q[i]) * x.values[i] for i in block) / qa
+            if cap is None or cond < cap:
+                cap = cond
+        return max(x.values[i] for i in block) if cap is None else cap
 
-def _u01(cu: ConditionalUtility, eta: RandomVariable) -> float:
-    if cu.base.kind == "distortion":
-        return choquet_eval(eta, cu.base.distortion, cu.space)
-    return scenario_min_eval(eta, cu.base.scenarios)[0]
+    space = cu.space
+    inside = set(block)
+    t = sum(float(space.mass[i]) * x.values[i] for i in block) / sum(float(space.mass[i]) for i in block)
+    while True:
+        y = [x.values[i] - t if i in inside else 0.0 for i in range(space.size)]
+        order = sorted(range(space.size), key=y.__getitem__, reverse=True)
+        q = core_vertex(cu.base.distortion, space, order)
+        if sum(float(q[i]) * y[i] for i in block) >= 0.0:
+            return t
+        t_next = sum(float(q[i]) * x.values[i] for i in block) / sum(float(q[i]) for i in block)
+        if t_next >= t:
+            return t
+        t = t_next
 
 
 def cone_decompose(
@@ -232,36 +266,23 @@ def cone_decompose(
     """Search for x = eta + zeta with eta F1-measurable acceptable and zeta
     conditionally acceptable on every F1 block.
 
-    The constraints are linear over the dual vertices Q of the base: for each
-    block A and each Q with Q[A] > 0, eta_A <= E_Q[x | A]. Both constraint
-    sets are monotone in eta, so feasibility is decided by one evaluation at
-    the blockwise upper envelope; no general LP machinery is required.
+    zeta is conditionally acceptable on block A exactly when
+    eta_A <= E_Q[x | A] for every dual measure Q with Q(A) > 0, so the
+    largest admissible eta is core_bound on each block, and acceptability of
+    eta is monotone: feasibility is decided by one evaluation of eta at that
+    blockwise upper envelope; no general LP machinery is required. For a
+    distortion base the bound comes from Dinkelbach's iteration over greedy
+    core vertices, a few sorts per block, so no outcome cap applies.
     Returns (feasible, (eta, zeta)) with the witness re-verified, or
     (feasible=False, None).
     """
     direct = two_period_eval(cu, x)
     if direct < -GAP_TOL:
         raise ValueError(f"not acceptable: u02(x) = {direct}")
-    vertices = _dual_vertices(cu)
 
-    blocks = cu.filtration.f1.blocks
-    eta_cap: list[float] = []
-    for block in blocks:
-        cap = None
-        for q in vertices:
-            qa = sum(float(q[i]) for i in block)
-            if qa <= 0.0:
-                continue
-            cond = sum(float(q[i]) * x.values[i] for i in block) / qa
-            if cap is None or cond < cap:
-                cap = cond
-        if cap is None:
-            # no vertex charges the block: eta there is unconstrained either way
-            cap = max(x.values[i] for i in block)
-        eta_cap.append(cap)
-
+    eta_cap = [core_bound(cu, x, block) for block in cu.filtration.f1.blocks]
     eta = RandomVariable.from_block_values(eta_cap, cu.filtration.f1, cu.space.size)
-    if _u01(cu, eta) < -1e-12:
+    if cu.base.evaluate(eta, cu.space, cu.filtration) < -1e-12:
         return False, None
 
     # zeta = x - eta, nudged so eta + zeta reproduces x bit for bit

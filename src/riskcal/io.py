@@ -175,7 +175,9 @@ def packaged_data_path(name: str):
 
 
 def emit_report_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text; a non-finite float raises ValueError, since NaN
+    and Infinity are not JSON."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report_csv(rows: list[dict], columns: list[str]) -> str:

@@ -9,14 +9,19 @@ Three interchangeable evaluation routes:
   with the row coordinate.
 
 Distortion and scenario evaluations agree through the core of the convex
-game v: core_extreme_points enumerates the permutation marginals, and the
-Choquet value is their minimum. That equivalence is the module's main
-internal cross-check.
+game v: every core vertex is the marginal vector of v along some outcome
+order (core_vertex), and the Choquet value is the expectation under the
+vertex taken along descending payoff, the minimum over the core.
+core_extreme_points enumerates all n! orders; it is the reference
+enumeration only, kept for the Choquet/core duality check and as the test
+oracle for the Dinkelbach core bound in riskcal.conditional, and nothing
+on a command path calls it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +35,7 @@ __all__ = [
     "CoherentUtility",
     "choquet_eval",
     "scenario_min_eval",
+    "core_vertex",
     "core_extreme_points",
     "product_example_eval",
     "is_commonotone_pair",
@@ -71,6 +77,8 @@ class DistortionFunction:
             k = self.knots
             if not k or len(k) < 2:
                 raise ValueError("piecewise distortion needs at least two knots")
+            if not all(math.isfinite(v) for knot in k for v in knot):
+                raise ValueError("piecewise knots must be finite numbers")
             if k[0] != (0.0, 0.0) or k[-1] != (1.0, 1.0):
                 raise ValueError("piecewise knots must run from (0, 0) to (1, 1)")
             slopes = []
@@ -141,6 +149,8 @@ class ScenarioSet:
         rows = []
         for idx, q in enumerate(measures):
             row = tuple(Fraction(v[0], v[1]) if isinstance(v, (tuple, list)) else v for v in q)
+            if not all(isinstance(v, (Fraction, int)) or math.isfinite(v) for v in row):
+                raise ValueError(f"measure {idx} has a non-finite entry")
             total = sum(row)
             exact = all(isinstance(v, (Fraction, int)) for v in row)
             if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > 1e-9):
@@ -236,29 +246,37 @@ def scenario_min_eval(x: RandomVariable, s: ScenarioSet) -> tuple[float, int]:
     return best, best_idx
 
 
+def core_vertex(psi: DistortionFunction, space: OutcomeSpace, order) -> tuple[Scalar, ...]:
+    """Marginal vector of the convex game v = psi(P) along an outcome order.
+
+    The outcome added in step i receives v(first i) - v(first i-1), with
+    the cumulative masses kept exact. Along an order of descending payoff
+    this core measure attains the Choquet value, the minimum of E_Q over the
+    core (Shapley 1971; Schmeidler 1986).
+    """
+    s = Fraction(0)
+    prev = psi.psi(s)
+    q: list[Scalar] = [0] * space.size
+    for i in order:
+        s += space.mass[i]
+        cur = psi.psi(s)
+        q[i] = cur - prev
+        prev = cur
+    return tuple(q)
+
+
 def core_extreme_points(psi: DistortionFunction, space: OutcomeSpace, cap: int = 8) -> ScenarioSet:
     """Extreme points of the core of the convex game v = psi(P).
 
-    One marginal vector per outcome permutation: the outcome added in step i
-    receives v(first i) - v(first i-1). Duplicates are removed and the result
-    is sorted lexicographically, a canonical order independent of enumeration
-    schedule. Factorial blow-up, hence the hard cap.
+    One core_vertex per outcome permutation. Duplicates are removed and the
+    result is sorted lexicographically, a canonical order independent of
+    enumeration schedule. Factorial blow-up, hence the hard cap: this is the
+    reference enumeration, not a command path.
     """
     n = space.size
     if n > cap:
         raise ValueError(f"space too large: {n} outcomes exceeds cap {cap}")
-    zero = psi.psi(Fraction(0))
-    seen: set[tuple[Scalar, ...]] = set()
-    for perm in itertools.permutations(range(n)):
-        s = Fraction(0)
-        prev = zero
-        q: list[Scalar] = [0] * n
-        for i in perm:
-            s += space.mass[i]
-            cur = psi.psi(s)
-            q[i] = cur - prev
-            prev = cur
-        seen.add(tuple(q))
+    seen = {core_vertex(psi, space, perm) for perm in itertools.permutations(range(n))}
     return ScenarioSet(tuple(sorted(seen)))
 
 

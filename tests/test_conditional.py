@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskcal import (
     CoherentUtility,
@@ -20,6 +22,8 @@ from riskcal import (
     conditional_eval_with_flags,
     conditional_expectation,
     cone_decompose,
+    core_bound,
+    core_extreme_points,
     crafted_ladder,
     default_probes,
     recompose,
@@ -252,6 +256,74 @@ def test_cone_scenario_base():
 def test_tc_gap_check_cones_collects_verdicts():
     report = tc_gap(CU4_ES, [LADDER4, LADDER4 - 0.5], check_cones=True)
     assert report.cone_verdicts == ((0, True), (1, False))
+
+
+@st.composite
+def _core_bound_cases(draw):
+    """Random rational space (3..7 outcomes), 2-3 blocks, distortion base and
+    a few (payoff, lift) pairs, payoffs on a coarse grid so that ties are
+    common."""
+    n = draw(st.integers(3, 7))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    space = OutcomeSpace.from_masses([Fraction(w, sum(weights)) for w in weights])
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(2, 3))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    blocks = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    kind = draw(st.sampled_from(["es", "power", "piecewise", "expectation"]))
+    if kind == "es":
+        psi = DistortionFunction.es(Fraction(draw(st.integers(1, 12)), 12))
+    elif kind == "power":
+        psi = DistortionFunction.power(draw(st.floats(0.0, 1.0)))
+    elif kind == "piecewise":
+        # convex: strictly increasing slopes between the abscissae
+        inner = sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=3)))
+        xs = [0.0] + [i / 10 for i in inner] + [1.0]
+        slopes = sorted(draw(st.sets(st.integers(0, 20), min_size=len(xs) - 1, max_size=len(xs) - 1)))
+        ys = [0.0]
+        for (p0, p1), sl in zip(zip(xs, xs[1:]), slopes):
+            ys.append(ys[-1] + sl * (p1 - p0))
+        psi = DistortionFunction.piecewise([(p, y / ys[-1]) for p, y in zip(xs, ys)])
+    else:
+        psi = DistortionFunction.expectation()
+    payoffs = draw(st.lists(
+        st.tuples(st.lists(st.integers(-8, 8), min_size=n, max_size=n), st.sampled_from([0.0, 0.25, 1.0])),
+        min_size=1, max_size=4))
+    cu = ConditionalUtility(CoherentUtility.from_distortion(psi), space, Filtration.two_period(space, blocks))
+    return cu, payoffs
+
+
+def _enumerated_core_bound(vertices, x, block) -> float:
+    """min of E_Q[x | A] over the listed vertices Q with Q(A) > 0."""
+    caps = []
+    for q in vertices:
+        qa = sum(float(q[i]) for i in block)
+        if qa > 0.0:
+            caps.append(sum(float(q[i]) * x.values[i] for i in block) / qa)
+    return min(caps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_core_bound_cases())
+def test_core_bound_matches_vertex_enumeration(case):
+    cu, payoffs = case
+    vertices = core_extreme_points(cu.base.distortion, cu.space).measures
+    blocks = cu.filtration.f1.blocks
+    for raw, lift in payoffs:
+        # shift onto the acceptance boundary (plus a lift), where verdicts split
+        y = RandomVariable.of([v / 4 for v in raw])
+        x = y - two_period_eval(cu, y) + lift
+        scale = max(abs(v) for v in x.values)
+        caps = [_enumerated_core_bound(vertices, x, block) for block in blocks]
+        for block, cap in zip(blocks, caps):
+            assert abs(core_bound(cu, x, block) - cap) <= 1e-12 * scale
+        eta = RandomVariable.from_block_values(caps, cu.filtration.f1, cu.space.size)
+        value = two_period_eval(cu, eta)
+        if abs(value + 1e-12) <= 1e-13 * scale:
+            continue  # within float noise of the feasibility threshold
+        feasible, witness = cone_decompose(cu, x)
+        assert feasible == (value >= -1e-12)
+        assert (witness is None) == (not feasible)
 
 
 # --------------------------------------- conditional commonotone additivity

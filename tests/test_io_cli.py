@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from riskcal import validate
+from riskcal import ConditionalUtility, default_probes, two_period_eval, validate
 from riskcal.cli import build_parser, main
 from riskcal.io import (
     SchemaError,
     emit_report_csv,
     emit_report_text,
     load_space_file,
+    load_utility_file,
     packaged_data_path,
     parse_report,
     parse_report_csv,
@@ -327,6 +328,26 @@ def test_cli_cone_check(capsys):
     assert doc["verdicts"][0]["probe_id"] == 0 and doc["verdicts"][0]["feasible"] is True
 
 
+@pytest.mark.parametrize("space_name", ["space_12.json", "space_product_64.json"])
+def test_cli_cone_check_beyond_enumeration_size(space_name, capsys):
+    # 12 and 64 outcomes are past any core enumeration; the core bound needs none
+    code, out, err = run_cli(
+        ["cone-check", "--space", data(space_name), "--utility", data("utility_es_half.json")],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    doc = parse_report(out)
+    space, filtration = load_space_file(packaged_data_path(space_name))
+    cu = ConditionalUtility(load_utility_file(packaged_data_path("utility_es_half.json")), space, filtration)
+    acceptable = [
+        pid for pid, x in enumerate(default_probes(space, 200, 1729)) if two_period_eval(cu, x) >= 0.0
+    ]
+    assert acceptable
+    assert [v["probe_id"] for v in doc["verdicts"]] == acceptable
+    assert doc["acceptable_probes"] == len(acceptable)
+    assert all(isinstance(v["feasible"], bool) for v in doc["verdicts"])
+
+
 def test_cli_lift_text(capsys):
     code, out, _ = run_cli(
         ["lift", "--space", data("space_8.json"), "--utility", data("utility_es_half.json"),
@@ -435,6 +456,36 @@ def test_cli_bad_json_file_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("input error:") and "not valid JSON" in err
+
+
+def test_cli_tc_check_rejects_nan_piecewise_knot(tmp_path, capsys):
+    # NaN fails every comparison, so only an explicit finiteness check stops it
+    bad = tmp_path / "nan_knot.json"
+    bad.write_text('{"utility": {"kind": "piecewise", "knots": [[0, 0], [NaN, 0.25], [1, 1]]}}')
+    code, out, err = run_cli(
+        ["tc-check", "--space", data("space_4.json"), "--utility", str(bad), "--probes", "20"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "finite" in err
+
+
+def test_cli_eval_rejects_nan_scenario_entry(tmp_path, capsys):
+    bad = tmp_path / "nan_measure.json"
+    bad.write_text(
+        '{"utility": {"kind": "scenario", "measures": '
+        '[[NaN, 0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]]}}'
+    )
+    code, out, err = run_cli(
+        ["eval", "--space", data("space_4.json"), "--utility", str(bad), "--probes", "5"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "non-finite" in err
+
+
+def test_emit_report_text_rejects_non_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            emit_report_text({"command": "eval", "seed": 1, "tolerance": 1e-9, "max": bad})
 
 
 def test_parser_defaults():
