@@ -1,23 +1,24 @@
 """Batch front-end.
 
-    riskcal validate  --space F [--utility F]
-    riskcal eval      --space F --utility F [--probes K] [--seed S]
-    riskcal lift      --space F --utility F --f V --g V [--grid-n N]
-    riskcal tc-check  --space F --utility F [--probes K] [--seed S]
+    riskcal validate   --space F [--utility F]
+    riskcal eval       --space F --utility F [--probes K] [--seed S]
+    riskcal lift       --space F --utility F --f V --g V [--grid-n N]
+    riskcal tc-check   --space F --utility F [--probes K] [--seed S] [--tol T]
     riskcal cone-check --space F --utility F [--probes K] [--seed S]
-    riskcal demo (incompatibility | multiperiod)
+    riskcal demo (incompatibility | multiperiod) [--probes K] [--seed S]
 
-Common flags: --format text|csv, --out PATH, --tol T. Reports embed the
-seed, probe count and tolerance; identical configurations produce byte
-identical reports. Exit status: 2 for schema or input errors, 1 when
-tc-check finds a gap above tolerance, 0 otherwise.
+Every command also takes --format text|csv and --out PATH; no command takes
+a flag it does not read. Reports embed the seed, probe count and tolerance,
+at their defaults (1729, 200, 1e-9) where the command has no such flag;
+identical configurations produce byte identical reports. Exit status: 2 for
+schema or input errors, 1 when tc-check finds a gap above tolerance, 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,118 +47,70 @@ from .space import (
     conditional_resolution,
     validate,
 )
-from .utility import CoherentUtility, DistortionFunction
+from .utility import CoherentUtility, DistortionFunction, ScenarioSet
 
 TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    space: str | None = None
-    utility: str | None = None
-    grid_n: int | None = None
-    probes: int = 200
-    seed: int = DEFAULT_SEED
-    fmt: str = "text"
-    out: str | None = None
-    tol: float = TOL
-    f_values: str | None = None
-    g_values: str | None = None
-    which: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="riskcal", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, space=True, utility=True):
-        if space:
-            sp.add_argument("--space", required=True, help="space file (JSON)")
-        if utility:
-            sp.add_argument("--utility", required=True, help="utility file (JSON)")
-        sp.add_argument("--probes", type=int, default=200)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        sp.add_argument("--tol", type=float, default=TOL)
+    def command(name, handler, help, files=("space", "utility"), probes=None, tol=False):
+        """Add subcommand `name`, run by `handler(args)`; `probes` is the default
+        of its --probes flag, which comes with --seed."""
+        sp = sub.add_parser(name, help=help)
+        # Every report header carries these; a command without the flag reports
+        # the default. An add_argument default below overrides this one.
+        sp.set_defaults(handler=handler, space=None, utility=None, probes=200, seed=DEFAULT_SEED, tol=TOL)
+        for f in files:
+            sp.add_argument(f"--{f}", required=True, help=f"{f} file (JSON)")
+        if probes is not None:
+            sp.add_argument("--probes", type=int, default=probes)
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if tol:
+            sp.add_argument("--tol", type=float, default=TOL)
         sp.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
         sp.add_argument("--out", default=None)
+        return sp
 
-    sp = sub.add_parser("validate", help="check a space file's invariants")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--utility", default=None)
-    sp.add_argument("--probes", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-    sp.add_argument("--tol", type=float, default=TOL)
-    sp.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
-    sp.add_argument("--out", default=None)
-
-    common(sub.add_parser("eval", help="evaluate a utility on seeded probes"))
-
-    sp = sub.add_parser("lift", help="build a commonotone pair from one-period payoffs")
-    common(sp)
+    sp = command("validate", _run_validate, "check a space file's invariants", files=("space",))
+    sp.add_argument("--utility", default=None, help="utility file (JSON) to describe")
+    command("eval", _run_eval, "evaluate a utility on seeded probes", probes=200)
+    sp = command("lift", _run_lift, "build a commonotone pair from one-period payoffs")
     sp.add_argument("--f", required=True, dest="f_values", help="comma-separated payoff per outcome")
     sp.add_argument("--g", required=True, dest="g_values", help="comma-separated payoff per outcome")
-
-    common(sub.add_parser("tc-check", help="audit the recomposition identity"))
-    common(sub.add_parser("cone-check", help="decompose acceptable probes across periods"))
-
-    sp = sub.add_parser("demo", help="run a packaged exhibit")
+    sp.add_argument("--grid-n", type=int, default=None, dest="grid_n",
+                    help="grid resolution (default: the space's conditional resolution)")
+    command("tc-check", _run_tc_check, "audit the recomposition identity", probes=200, tol=True)
+    command("cone-check", _run_cone_check, "decompose acceptable probes across periods", probes=200)
+    sp = command("demo", _run_demo, "run a packaged exhibit", files=(), probes=50)
     sp.add_argument("which", choices=("incompatibility", "multiperiod"))
-    sp.add_argument("--probes", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-    sp.add_argument("--tol", type=float, default=TOL)
-    sp.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
-    sp.add_argument("--out", default=None)
     return p
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        space=getattr(args, "space", None),
-        utility=getattr(args, "utility", None),
-        grid_n=args.grid_n,
-        probes=args.probes,
-        seed=args.seed,
-        fmt=args.fmt,
-        out=args.out,
-        tol=args.tol,
-        f_values=getattr(args, "f_values", None),
-        g_values=getattr(args, "g_values", None),
-        which=getattr(args, "which", None),
-    )
-
-
-def _header(cfg: RunConfig) -> dict:
+def _header(args: argparse.Namespace) -> dict:
     return {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "probes": cfg.probes,
-        "tolerance": cfg.tol,
-        "inputs": {k: v for k, v in (("space", cfg.space), ("utility", cfg.utility)) if v},
+        "command": args.command,
+        "seed": args.seed,
+        "probes": args.probes,
+        "tolerance": args.tol,
+        "inputs": {k: v for k, v in (("space", args.space), ("utility", args.utility)) if v},
     }
 
 
-def _load_space(cfg: RunConfig):
-    space, filtration = load_space_file(cfg.space)
+def _load_space(args: argparse.Namespace):
+    space, filtration = load_space_file(args.space)
     report = validate(space, filtration)
     if not report.ok:
         raise SchemaError("invalid space: " + "; ".join(report.violations), field="space")
     return space, filtration
 
 
-def _load_utility(cfg: RunConfig, space: OutcomeSpace) -> CoherentUtility:
-    u = load_utility_file(cfg.utility)
+def _load_utility(args: argparse.Namespace, space: OutcomeSpace) -> CoherentUtility:
+    u = load_utility_file(args.utility)
     if u.kind == "scenario":
-        for qi, q in enumerate(u.scenarios.measures):
-            if len(q) != space.size:
-                raise SchemaError(
-                    f"measure has {len(q)} entries for {space.size} outcomes",
-                    field=f"utility.measures[{qi}]",
-                )
+        ScenarioSet.of(u.scenarios.measures, space)  # raises if a measure's length is not space.size
     return u
 
 
@@ -171,36 +124,36 @@ def _parse_vector(text: str, size: int, name: str) -> RandomVariable:
     return RandomVariable.of(vals)
 
 
-def _run_validate(cfg: RunConfig) -> tuple[str, int]:
-    space, filtration = load_space_file(cfg.space)
+def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
+    space, filtration = load_space_file(args.space)
     report = validate(space, filtration)
-    doc = _header(cfg)
+    doc = _header(args)
     doc["ok"] = report.ok
     doc["violations"] = list(report.violations)
     doc["outcomes"] = space.size
     doc["f1_blocks"] = [list(b) for b in filtration.f1.blocks]
     doc["conditional_resolution"] = conditional_resolution(space, filtration)
-    if cfg.utility:
-        u = load_utility_file(cfg.utility)
+    if args.utility:
+        u = load_utility_file(args.utility)
         doc["utility"] = u.describe()
     code = 0 if report.ok else 2
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [{"index": i, "violation": v} for i, v in enumerate(report.violations)]
         return emit_report_csv(rows, ["index", "violation"]), code
     return emit_report_text(doc), code
 
 
-def _run_eval(cfg: RunConfig) -> tuple[str, int]:
-    space, filtration = _load_space(cfg)
-    u = _load_utility(cfg, space)
-    probes = default_probes(space, cfg.probes, cfg.seed, nonnegative=(u.kind == "product"))
+def _run_eval(args: argparse.Namespace) -> tuple[str, int]:
+    space, filtration = _load_space(args)
+    u = _load_utility(args, space)
+    probes = default_probes(space, args.probes, args.seed, nonnegative=(u.kind == "product"))
     rows = [
         {"input_id": pid, "variant": u.describe(), "value": u.evaluate(x, space, filtration)}
         for pid, x in enumerate(probes)
     ]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return emit_report_csv(rows, ["input_id", "variant", "value"]), 0
-    doc = _header(cfg)
+    doc = _header(args)
     doc["variant"] = u.describe()
     doc["values"] = [r["value"] for r in rows]
     doc["max"] = max(r["value"] for r in rows)
@@ -208,14 +161,13 @@ def _run_eval(cfg: RunConfig) -> tuple[str, int]:
     return emit_report_text(doc), 0
 
 
-def _run_lift(cfg: RunConfig) -> tuple[str, int]:
-    space, filtration = _load_space(cfg)
-    u = _load_utility(cfg, space)
+def _run_lift(args: argparse.Namespace) -> tuple[str, int]:
+    space, filtration = _load_space(args)
+    u = _load_utility(args, space)
     cu = ConditionalUtility(u, space, filtration)
-    n = cfg.grid_n if cfg.grid_n is not None else conditional_resolution(space, filtration)
-    grid = build_uniform_grid(space, filtration, n)
-    f = _parse_vector(cfg.f_values, space.size, "f")
-    g = _parse_vector(cfg.g_values, space.size, "g")
+    grid = build_uniform_grid(space, filtration, args.grid_n)
+    f = _parse_vector(args.f_values, space.size, "f")
+    g = _parse_vector(args.g_values, space.size, "g")
     if not f.is_measurable(filtration.f1) or not g.is_measurable(filtration.f1):
         raise SchemaError("f and g must be constant on every F1 block", field="f")
     pair, diag = lift_pair(cu, grid, f, g)
@@ -237,10 +189,10 @@ def _run_lift(cfg: RunConfig) -> tuple[str, int]:
         else:
             row.update({"x_x": 0.0, "x_y": 0.0, "y_x": 0.0, "y_y": 0.0})
         geo_rows.append(row)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         cols = ["block", "f", "g", "x_x", "x_y", "y_x", "y_y", "lambda_target", "lambda_achieved"]
         return emit_report_csv(geo_rows, cols), 0
-    doc = _header(cfg)
+    doc = _header(args)
     doc["m"] = pair.m
     doc["grid_n"] = grid.resolution
     doc["xi"] = list(pair.xi.values)
@@ -257,19 +209,19 @@ def _run_lift(cfg: RunConfig) -> tuple[str, int]:
     return emit_report_text(doc), 0
 
 
-def _run_tc_check(cfg: RunConfig) -> tuple[str, int]:
-    space, filtration = _load_space(cfg)
-    u = _load_utility(cfg, space)
+def _run_tc_check(args: argparse.Namespace) -> tuple[str, int]:
+    space, filtration = _load_space(args)
+    u = _load_utility(args, space)
     cu = ConditionalUtility(u, space, filtration)
-    report = tc_gap(cu, default_probes(space, cfg.probes, cfg.seed))
-    code = 1 if report.max_gap > cfg.tol else 0
-    if cfg.fmt == "csv":
+    report = tc_gap(cu, default_probes(space, args.probes, args.seed))
+    code = 1 if report.max_gap > args.tol else 0
+    if args.fmt == "csv":
         rows = [
             {"probe_id": pid, "direct": d, "recomposed": r, "gap": gap}
             for pid, d, r, gap in report.per_vector
         ]
         return emit_report_csv(rows, ["probe_id", "direct", "recomposed", "gap"]), code
-    doc = _header(cfg)
+    doc = _header(args)
     doc["max_gap"] = report.max_gap
     doc["witness"] = list(report.witness.values)
     doc["consistent"] = code == 0
@@ -280,15 +232,15 @@ def _run_tc_check(cfg: RunConfig) -> tuple[str, int]:
     return emit_report_text(doc), code
 
 
-def _run_cone_check(cfg: RunConfig) -> tuple[str, int]:
-    space, filtration = _load_space(cfg)
-    u = _load_utility(cfg, space)
+def _run_cone_check(args: argparse.Namespace) -> tuple[str, int]:
+    space, filtration = _load_space(args)
+    u = _load_utility(args, space)
     cu = ConditionalUtility(u, space, filtration)
-    report = tc_gap(cu, default_probes(space, cfg.probes, cfg.seed), check_cones=True)
+    report = tc_gap(cu, default_probes(space, args.probes, args.seed), check_cones=True)
     rows = [{"probe_id": pid, "feasible": ok} for pid, ok in report.cone_verdicts]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return emit_report_csv(rows, ["probe_id", "feasible"]), 0
-    doc = _header(cfg)
+    doc = _header(args)
     doc["acceptable_probes"] = len(rows)
     doc["feasible_count"] = sum(1 for r in rows if r["feasible"])
     doc["verdicts"] = rows
@@ -296,11 +248,11 @@ def _run_cone_check(cfg: RunConfig) -> tuple[str, int]:
     return emit_report_text(doc), 0
 
 
-def _demo_incompatibility(cfg: RunConfig) -> tuple[str, int]:
+def _demo_incompatibility(args: argparse.Namespace) -> tuple[str, int]:
     space4, filt4 = load_space_file(packaged_data_path("space_4.json"))
     es_half = CoherentUtility.from_distortion(DistortionFunction.es((1, 2)))
     cu4 = ConditionalUtility(es_half, space4, filt4)
-    probes = default_probes(space4, cfg.probes, cfg.seed)
+    probes = default_probes(space4, args.probes, args.seed)
     tc = tc_gap(cu4, probes)
     crafted_row = tc.per_vector[0]  # the ladder probe is always first
 
@@ -314,7 +266,7 @@ def _demo_incompatibility(cfg: RunConfig) -> tuple[str, int]:
     space_p, filt_p = load_space_file(packaged_data_path("space_product_64.json"))
     u_prod = load_utility_file(packaged_data_path("utility_product_8x8.json"))
     k_alpha = u_prod.k_alpha
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     max_err = 0.0
     for _ in range(20):
         row_vals = rng.uniform(0.0, 1.0, size=k_alpha)
@@ -330,7 +282,7 @@ def _demo_incompatibility(cfg: RunConfig) -> tuple[str, int]:
     mean_nl = sum(float(m) * v for m, v in zip(space_p.mass, x_nl.values))
     gap_nl = abs(u_prod.evaluate(x_nl, space_p, filt_p) - mean_nl)
 
-    doc = _header(cfg)
+    doc = _header(args)
     doc["inputs"] = {
         "space": "packaged space_4.json / space_12.json / space_product_64.json",
         "utility": "es(1/2) and packaged utility_product_8x8.json",
@@ -354,7 +306,7 @@ def _demo_incompatibility(cfg: RunConfig) -> tuple[str, int]:
         "flat_tolerance": 2.0 / k_alpha,
         "nonflat_gap": gap_nl,
     }
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [
             {"exhibit": "tc_gap", "metric": "max_gap", "value": tc.max_gap},
             {"exhibit": "tc_gap", "metric": "crafted_gap", "value": crafted_row[3]},
@@ -367,7 +319,7 @@ def _demo_incompatibility(cfg: RunConfig) -> tuple[str, int]:
     return emit_report_text(doc), 0
 
 
-def _demo_multiperiod(cfg: RunConfig) -> tuple[str, int]:
+def _demo_multiperiod(args: argparse.Namespace) -> tuple[str, int]:
     space, filtration = load_space_file(packaged_data_path("space_8.json"))
     base = CoherentUtility.from_distortion(DistortionFunction.es((1, 2)))
     p1 = filtration.f1
@@ -380,7 +332,7 @@ def _demo_multiperiod(cfg: RunConfig) -> tuple[str, int]:
     y1, _ = blockwise_eval(base, space, p1, y2)
     v1 = base.evaluate(y1, space)
 
-    doc = _header(cfg)
+    doc = _header(args)
     doc["inputs"] = {"space": "packaged space_8.json", "utility": "es(1/2)"}
     doc["probe"] = list(x.values)
     doc["levels"] = [
@@ -389,7 +341,7 @@ def _demo_multiperiod(cfg: RunConfig) -> tuple[str, int]:
         {"stage": "collapse_level1", "value": v1, "gap_from_previous": abs(v2 - v1)},
     ]
     doc["total_gap"] = abs(direct - v1)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [
             {"stage": lvl["stage"], "value": lvl["value"], "gap_from_previous": lvl["gap_from_previous"]}
             for lvl in doc["levels"]
@@ -398,35 +350,21 @@ def _demo_multiperiod(cfg: RunConfig) -> tuple[str, int]:
     return emit_report_text(doc), 0
 
 
-def run(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.command == "validate":
-        return _run_validate(cfg)
-    if cfg.command == "eval":
-        return _run_eval(cfg)
-    if cfg.command == "lift":
-        return _run_lift(cfg)
-    if cfg.command == "tc-check":
-        return _run_tc_check(cfg)
-    if cfg.command == "cone-check":
-        return _run_cone_check(cfg)
-    if cfg.which == "incompatibility":
-        return _demo_incompatibility(cfg)
-    return _demo_multiperiod(cfg)
+def _run_demo(args: argparse.Namespace) -> tuple[str, int]:
+    if args.which == "incompatibility":
+        return _demo_incompatibility(args)
+    return _demo_multiperiod(args)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config(args)
     try:
-        text, code = run(cfg)
-    except SchemaError as e:
+        text, code = args.handler(args)
+    except ValueError as e:  # SchemaError included
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -166,7 +166,10 @@ def recompose(cu: ConditionalUtility, x: RandomVariable) -> float:
 
 def crafted_ladder(space: OutcomeSpace) -> RandomVariable:
     """Doubling payoff ladder (0, 1, 2, 4, ...): interleaves unevenly across
-    index-contiguous blocks, which is what makes recomposition gaps visible."""
+    index-contiguous blocks, which is what makes recomposition gaps visible.
+    Its top rung 2**(n-2) is a float64 only for n <= 1025 outcomes."""
+    if space.size > 1025:
+        raise ValueError(f"the doubling ladder needs at most 1025 outcomes, got {space.size}")
     return RandomVariable.of([0.0] + [float(2 ** k) for k in range(space.size - 1)])
 
 

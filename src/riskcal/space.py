@@ -319,8 +319,6 @@ def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
     exists. Exact Fraction arithmetic throughout.
     """
     total = sum(masses, Fraction(0))
-    if total % n != 0 and (total / n) * n != total:
-        return None
     target = total / n
     if any(m > target for m in masses):
         return None
@@ -366,13 +364,14 @@ def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
     return 0
 
 
-def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int) -> UniformGrid:
+def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | None = None) -> UniformGrid:
     """Split each F1 block into n equal-conditional-mass groups; U = group rank / n.
 
-    Requires conditional_resolution >= n with n dividing it. The assignment is
-    the canonical-order backtracking of _equal_split, so outputs are reproducible.
+    Requires conditional_resolution >= n with n dividing it; n=None uses the
+    conditional resolution itself. The assignment is the canonical-order
+    backtracking of _equal_split, so outputs are reproducible.
     """
-    if n < 1:
+    if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
     size = space.size
     ranks = [0] * size
@@ -380,6 +379,12 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int) -> U
         ranks = [1] * size
     else:
         res = conditional_resolution(space, filtration)
+        if n is None:
+            if res == 0:
+                raise ResolutionUnavailableError(
+                    "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
+                )
+            n = res
         if res < n or res % n != 0:
             for j, block in enumerate(filtration.f1.blocks):
                 if _equal_split([space.mass[i] for i in block], n) is None:

@@ -1,5 +1,6 @@
 """File schemas, report serialization, and the command-line front end."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -496,3 +497,118 @@ def test_parser_defaults():
     assert args.tol == 1e-9
     args = build_parser().parse_args(["demo", "incompatibility"])
     assert args.probes == 50
+
+
+def test_cli_tc_check_beyond_ladder_size_exits_two(tmp_path, capsys):
+    # the crafted ladder's top rung 2**1028 is not a float64
+    space = tmp_path / "space_1030.json"
+    space.write_text(json.dumps({"masses": [[1, 1030]] * 1030, "f1_blocks": [list(range(1030))]}))
+    code, out, err = run_cli(
+        ["tc-check", "--space", str(space), "--utility", data("utility_es_half.json"), "--probes", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "1025 outcomes" in err
+
+
+# ------------------------------------------------------ CLI flag contract
+
+REMOVED_FLAGS = [
+    ("validate", "--probes", "7"), ("validate", "--seed", "7"),
+    ("validate", "--grid-n", "2"), ("validate", "--tol", "0.5"),
+    ("eval", "--grid-n", "2"), ("eval", "--tol", "0.5"),
+    ("lift", "--probes", "7"), ("lift", "--seed", "7"), ("lift", "--tol", "0.5"),
+    ("tc-check", "--grid-n", "2"),
+    ("cone-check", "--grid-n", "2"), ("cone-check", "--tol", "0.5"),
+    ("demo", "--grid-n", "2"), ("demo", "--tol", "0.5"),
+]
+
+
+def _contract_base(command):
+    space, es = ["--space", data("space_4.json")], ["--utility", data("utility_es_half.json")]
+    return {
+        "validate": ["validate", *space],
+        "eval": ["eval", *space, *es, "--probes", "5"],
+        "lift": ["lift", *space, *es, "--f", "1,1,0,0", "--g", "0,0,1,1"],
+        "tc-check": ["tc-check", *space, *es, "--probes", "5"],
+        "cone-check": ["cone-check", *space, *es, "--probes", "20"],
+        "demo": ["demo", "incompatibility"],
+    }[command]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_cli_rejects_flags_the_command_does_not_read(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_contract_base(command) + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag}" in err
+
+
+# (command, extra argv moving one flag off the base value); argparse keeps the
+# last occurrence of a repeated flag
+KEPT_FLAGS = [
+    ("validate", ["--space", data("space_8.json")]),
+    ("validate", ["--utility", data("utility_es_half.json")]),
+    ("eval", ["--space", data("space_8.json")]),
+    ("eval", ["--utility", data("utility_power_half.json")]),
+    ("eval", ["--probes", "6"]),
+    ("eval", ["--seed", "7"]),
+    ("lift", ["--space", data("space_8.json"), "--f", "1,1,1,1,0,0,0,0", "--g", "0,0,0,0,1,1,1,1"]),
+    ("lift", ["--utility", data("utility_expectation.json")]),
+    ("lift", ["--f", "2,2,0,0"]),
+    ("lift", ["--g", "0,0,2,2"]),
+    ("lift", ["--grid-n", "1"]),
+    ("tc-check", ["--space", data("space_8.json")]),
+    ("tc-check", ["--utility", data("utility_expectation.json")]),
+    ("tc-check", ["--probes", "6"]),
+    ("tc-check", ["--seed", "7"]),
+    ("tc-check", ["--tol", "0.6"]),
+    ("cone-check", ["--space", data("space_8.json")]),
+    ("cone-check", ["--utility", data("utility_expectation.json")]),
+    ("cone-check", ["--probes", "40"]),
+    ("cone-check", ["--seed", "7"]),
+    ("demo", ["--probes", "5"]),
+    ("demo", ["--seed", "7"]),
+] + [(c, ["--format", "csv"]) for c in ("validate", "eval", "lift", "tc-check", "cone-check", "demo")]
+
+
+def _report_body(out):
+    """The report without the header fields that only echo the command line."""
+    if not out.startswith("{"):
+        return out
+    doc = parse_report(out)
+    for key in ("seed", "probes", "tolerance", "inputs"):
+        doc.pop(key)
+    return doc
+
+
+@pytest.mark.parametrize("command,extra", KEPT_FLAGS, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_cli_every_kept_flag_changes_the_report(command, extra, capsys):
+    base = _contract_base(command)
+    code, out, _ = run_cli(base, capsys)
+    moved_code, moved_out, _ = run_cli(base + extra, capsys)
+    assert (moved_code, _report_body(moved_out)) != (code, _report_body(out))
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "lift", "tc-check", "cone-check", "demo"])
+def test_cli_out_moves_the_report(command, tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out, _ = run_cli(_contract_base(command), capsys)
+    assert run_cli(_contract_base(command) + ["--out", str(target)], capsys) == (code, "", "")
+    assert target.read_text() == out
+
+
+def test_cli_demo_which_changes_the_report(capsys):
+    _, incompatibility, _ = run_cli(["demo", "incompatibility"], capsys)
+    _, multiperiod, _ = run_cli(["demo", "multiperiod"], capsys)
+    assert _report_body(incompatibility) != _report_body(multiperiod)
+
+
+@pytest.mark.parametrize("command", ["validate", "lift", "demo"])
+def test_cli_header_keeps_defaults_of_flags_not_taken(command, capsys):
+    code, out, _ = run_cli(_contract_base(command), capsys)
+    assert code == 0
+    doc = parse_report(out)
+    assert (doc["seed"], doc["tolerance"]) == (1729, 1e-9)
+    assert doc["probes"] == (50 if command == "demo" else 200)

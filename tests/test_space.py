@@ -199,6 +199,16 @@ def test_grid_unavailable_divisibility_branch():
     assert "does not divide" in str(exc.value)
 
 
+def test_grid_default_resolution():
+    assert build_uniform_grid(SPACE8, FILT8) == build_uniform_grid(SPACE8, FILT8, 4)
+    space = OutcomeSpace.from_masses([(1, 3), (1, 3), (1, 6), (1, 6)])
+    filt = Filtration.two_period(space, [[0, 1, 2, 3]])
+    assert build_uniform_grid(space, filt).resolution == 3
+    singletons = Filtration.two_period(OutcomeSpace.uniform(3), [[0], [1], [2]])
+    with pytest.raises(ResolutionUnavailableError, match="resolution unavailable"):
+        build_uniform_grid(OutcomeSpace.uniform(3), singletons)
+
+
 def test_grid_on_unequal_masses():
     # each block splits in half exactly despite unequal outcome masses
     space = OutcomeSpace.from_masses([(1, 4), (1, 8), (1, 8), (1, 4), (1, 8), (1, 8)])
