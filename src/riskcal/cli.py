@@ -5,7 +5,8 @@
     riskcal lift       --space F --utility F --f V --g V [--grid-n N]
     riskcal tc-check   --space F --utility F [--probes K] [--seed S] [--tol T]
     riskcal cone-check --space F --utility F [--probes K] [--seed S]
-    riskcal demo (incompatibility | multiperiod) [--probes K] [--seed S]
+    riskcal demo incompatibility [--probes K] [--seed S]
+    riskcal demo multiperiod
 
 Every command also takes --format text|csv and --out PATH; no command takes
 a flag it does not read. Reports embed the seed, probe count and tolerance,
@@ -18,6 +19,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -56,10 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="riskcal", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, files=("space", "utility"), probes=None, tol=False):
-        """Add subcommand `name`, run by `handler(args)`; `probes` is the default
-        of its --probes flag, which comes with --seed."""
-        sp = sub.add_parser(name, help=help)
+    def command(name, handler, help, files=("space", "utility"), probes=None, tol=False, parent=sub):
+        """Add subcommand `name` to `parent`, run by `handler(args)`; `probes` is
+        the default of its --probes flag, which comes with --seed."""
+        sp = parent.add_parser(name, help=help)
         # Every report header carries these; a command without the flag reports
         # the default. An add_argument default below overrides this one.
         sp.set_defaults(handler=handler, space=None, utility=None, probes=200, seed=DEFAULT_SEED, tol=TOL)
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--probes", type=int, default=probes)
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if tol:
-            sp.add_argument("--tol", type=float, default=TOL)
+            sp.add_argument("--tol", type=_tolerance, default=TOL)
         sp.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
         sp.add_argument("--out", default=None)
         return sp
@@ -84,9 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid resolution (default: the space's conditional resolution)")
     command("tc-check", _run_tc_check, "audit the recomposition identity", probes=200, tol=True)
     command("cone-check", _run_cone_check, "decompose acceptable probes across periods", probes=200)
-    sp = command("demo", _run_demo, "run a packaged exhibit", files=(), probes=50)
-    sp.add_argument("which", choices=("incompatibility", "multiperiod"))
+    demo = sub.add_parser("demo", help="run a packaged exhibit").add_subparsers(dest="exhibit", required=True)
+    command("incompatibility", _demo_incompatibility, "gap, defect, linearity", files=(), probes=50, parent=demo)
+    # multiperiod draws no probes; its header reports the demo default of 50
+    command("multiperiod", _demo_multiperiod, "stagewise collapse", files=(), parent=demo).set_defaults(probes=50)
     return p
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite number >= 0; a NaN tolerance would pass every gap."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -119,6 +134,8 @@ def _parse_vector(text: str, size: int, name: str) -> RandomVariable:
         vals = [float(t) for t in text.split(",")]
     except ValueError as e:
         raise SchemaError(f"--{name} must be comma-separated numbers", field=name) from e
+    if not all(math.isfinite(v) for v in vals):
+        raise SchemaError(f"--{name} entries must be finite numbers", field=name)
     if len(vals) != size:
         raise SchemaError(f"--{name} has {len(vals)} entries for {size} outcomes", field=name)
     return RandomVariable.of(vals)
@@ -348,12 +365,6 @@ def _demo_multiperiod(args: argparse.Namespace) -> tuple[str, int]:
         ]
         return emit_report_csv(rows, ["stage", "value", "gap_from_previous"]), 0
     return emit_report_text(doc), 0
-
-
-def _run_demo(args: argparse.Namespace) -> tuple[str, int]:
-    if args.which == "incompatibility":
-        return _demo_incompatibility(args)
-    return _demo_multiperiod(args)
 
 
 def main(argv=None) -> int:

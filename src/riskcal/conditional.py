@@ -1,10 +1,12 @@
 """Conditional utilities, recomposition, and time-consistency audits.
 
 The one-period conditional utility of x given F1 is computed block by
-block: restrict x to the block, renormalize the masses to the conditional
-law, and apply the base utility there. Recomposition feeds the resulting
-F1-measurable payoff back through the base utility; the absolute gap
-between the direct two-period value and the recomposed one is the
+block: CoherentUtility.given restricts the base to the block's conditional
+law and CoherentUtility.evaluate applies it there, the path of the direct
+value; where no scenario measure charges a block, the conditional
+expectation stands in and the block is flagged. Recomposition feeds the
+resulting F1-measurable payoff back through the base utility; the absolute
+gap between the direct two-period value and the recomposed one is the
 time-inconsistency certificate this module reports.
 
 The cone test asks the same question in decomposition form: an acceptable
@@ -13,28 +15,28 @@ zeta conditionally acceptable on every block. Monotonicity collapses that
 search to evaluating the blockwise upper envelope of eta, the core bound
 min{E_Q[x | A] : Q in the dual set, Q(A) > 0} on each block A, so no LP
 solver is needed; witnesses are re-verified numerically before being
-returned. A scenario base lists its dual set, and the bound is a minimum
-over it. For a distortion base the dual set is the core of psi(P), and the
-bound is a linear-fractional program over it, solved by Dinkelbach's
-method (Dinkelbach 1967): each step takes the greedy core vertex of
-(x - t) 1_A, which minimises E_Q over the core, and moves t down to its
-conditional mean, so no core vertex is enumerated and no outcome cap
-applies.
+returned. For a scenario base the bound is scenario_min_eval over its
+measures conditioned on the block. For a distortion base the dual set is
+the core of psi(P), and the bound is a linear-fractional program over it,
+solved by Dinkelbach's method (Dinkelbach 1967): each step takes the greedy
+core vertex of (x - t) 1_A, which minimises E_Q over the core, and moves t
+down to its conditional mean, so no core vertex is enumerated and no
+outcome cap applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .space import Filtration, OutcomeSpace, Partition, RandomVariable
 from .utility import (
     CoherentUtility,
-    choquet_eval,
+    DistortionFunction,
     core_vertex,
     is_commonotone_pair,
+    scenario_min_eval,
 )
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 GAP_TOL = 1e-9
+_EXPECTATION = CoherentUtility.from_distortion(DistortionFunction.expectation())
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,6 @@ class TimeConsistencyReport:
     cone_verdicts: tuple[tuple[int, bool], ...] = ()
 
 
-def _conditional_measures(q, block) -> tuple[float, ...] | None:
-    total = sum(q[i] for i in block)
-    if (isinstance(total, Fraction) and total == 0) or float(total) <= 0.0:
-        return None
-    return tuple(float(q[i]) / float(total) for i in block)
-
-
 def blockwise_eval(
     base: CoherentUtility,
     space: OutcomeSpace,
@@ -111,28 +107,11 @@ def blockwise_eval(
     out = [0.0] * space.size
     fallbacks: list[int] = []
     for bi, block in enumerate(partition.blocks):
-        vals = tuple(x.values[i] for i in block)
-        if base.kind == "distortion":
-            bm = space.mass_of(block)
-            cond = OutcomeSpace(
-                tuple(space.outcomes[i] for i in block),
-                tuple(space.mass[i] / bm for i in block),
-            )
-            v = choquet_eval(RandomVariable(vals), base.distortion, cond)
-        else:
-            best = None
-            for q in base.scenarios.measures:
-                cq = _conditional_measures(q, block)
-                if cq is None:
-                    continue
-                e = sum(w * v_ for w, v_ in zip(cq, vals))
-                if best is None or e < best:
-                    best = e
-            if best is None:
-                bm = float(space.mass_of(block))
-                best = sum(float(space.mass[i]) * x.values[i] for i in block) / bm
-                fallbacks.append(bi)
-            v = best
+        u, law = base.given(space, block)
+        if u is None:
+            u = _EXPECTATION
+            fallbacks.append(bi)
+        v = u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law)
         for i in block:
             out[i] = v
     return RandomVariable(tuple(out)), tuple(fallbacks)
@@ -238,15 +217,9 @@ def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
     when t fails to decrease, so float noise cannot make it cycle.
     """
     if cu.base.kind == "scenario":
-        cap = None
-        for q in cu.base.scenarios.measures:
-            qa = sum(float(q[i]) for i in block)
-            if qa <= 0.0:
-                continue
-            cond = sum(float(q[i]) * x.values[i] for i in block) / qa
-            if cap is None or cond < cap:
-                cap = cond
-        return max(x.values[i] for i in block) if cap is None else cap
+        conditioned = cu.base.scenarios.given(block)
+        on_block = RandomVariable(tuple(x.values[i] for i in block))
+        return max(on_block.values) if conditioned is None else scenario_min_eval(on_block, conditioned)[0]
 
     space = cu.space
     inside = set(block)

@@ -74,6 +74,11 @@ class OutcomeSpace:
     def mass_of(self, indices: Iterable[int]) -> Fraction:
         return sum((self.mass[i] for i in indices), Fraction(0))
 
+    def given(self, block: Sequence[int]) -> "OutcomeSpace":
+        """The outcomes of `block` under the conditional law, masses mass[i] / P[block] exactly."""
+        bm = self.mass_of(block)
+        return OutcomeSpace(tuple(self.outcomes[i] for i in block), tuple(self.mass[i] / bm for i in block))
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -385,19 +390,9 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
                     "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
                 )
             n = res
-        if res < n or res % n != 0:
-            for j, block in enumerate(filtration.f1.blocks):
-                if _equal_split([space.mass[i] for i in block], n) is None:
-                    raise ResolutionUnavailableError(
-                        f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
-                        f"{n}-way equal-conditional-mass split"
-                    )
-            raise ResolutionUnavailableError(
-                f"resolution unavailable: n={n} does not divide conditional resolution {res}"
-            )
         for j, block in enumerate(filtration.f1.blocks):
             split = _equal_split([space.mass[i] for i in block], n)
-            if split is None:  # unreachable under the precondition above
+            if split is None:
                 raise ResolutionUnavailableError(
                     f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                     f"{n}-way equal-conditional-mass split"
@@ -405,6 +400,10 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
             for rank0, positions in enumerate(split):
                 for pos in positions:
                     ranks[block[pos]] = rank0 + 1
+        if res % n != 0:  # every block split n ways, so n <= res
+            raise ResolutionUnavailableError(
+                f"resolution unavailable: n={n} does not divide conditional resolution {res}"
+            )
 
     u = RandomVariable(tuple(r / n for r in ranks))
     levels = tuple(EventSet(tuple(r <= k for r in ranks)) for k in range(1, n + 1))

@@ -1,12 +1,15 @@
 """Coherent monetary utility functions on finite outcome spaces.
 
-Three interchangeable evaluation routes:
+Three utility kinds, each with one evaluation path, CoherentUtility.evaluate:
 
 * distortion (Choquet) utilities u(x) = integral of x against v = psi(P),
   psi convex with psi(0)=0, psi(1)=1;
 * scenario-set duals u(x) = min over finitely many measures Q of E_Q[x];
 * a two-layer product-grid example where the distortion exponent varies
   with the row coordinate.
+
+CoherentUtility.given restricts a distortion or scenario utility to one
+block's conditional law, where the same evaluate gives conditional values.
 
 Distortion and scenario evaluations agree through the core of the convex
 game v: every core vertex is the marginal vector of v along some outcome
@@ -168,6 +171,15 @@ class ScenarioSet:
     def size(self) -> int:
         return len(self.measures)
 
+    def given(self, block) -> "ScenarioSet | None":
+        """The measures charging `block`, conditioned on it in float; None if none does."""
+        rows = []
+        for q in self.measures:
+            total = sum(q[i] for i in block)
+            if float(total) > 0.0:
+                rows.append(tuple(float(q[i]) / float(total) for i in block))
+        return ScenarioSet(tuple(rows)) if rows else None
+
 
 @dataclass(frozen=True)
 class CoherentUtility:
@@ -197,7 +209,20 @@ class CoherentUtility:
             raise ValueError("product grid sizes must be positive")
         return cls("product", k_alpha=k_alpha, k_x=k_x)
 
-    def evaluate(self, x: RandomVariable, space: OutcomeSpace, filtration: Filtration | None = None) -> float:
+    def given(self, space: OutcomeSpace, block) -> tuple["CoherentUtility | None", OutcomeSpace | None]:
+        """(utility on `block`, the block's conditional law). A scenario base
+        needs no law, so it is built only when no measure charges the block;
+        the utility is then None and the caller picks a fallback."""
+        if self.kind == "distortion":
+            return self, space.given(block)
+        if self.kind == "scenario":
+            conditioned = self.scenarios.given(block)
+            if conditioned is None:
+                return None, space.given(block)
+            return CoherentUtility.from_scenarios(conditioned), None
+        raise ValueError("the product-grid utility has no conditional form on one block")
+
+    def evaluate(self, x: RandomVariable, space: OutcomeSpace | None, filtration: Filtration | None = None) -> float:
         if self.kind == "distortion":
             return choquet_eval(x, self.distortion, space)
         if self.kind == "scenario":
@@ -341,24 +366,14 @@ def relevance_check(
 
     Monotonicity collapses the full event lattice to singletons: any nonempty
     A contains some {w}, and -1_A <= -1_{w} pointwise, so u(-1_A) <= u(-1_{w}).
-    Checking all singletons is therefore exhaustive at every space size.
+    Checking all singletons is therefore exhaustive at every space size. The
+    loss -1_{w} keeps the sign exact; the product kind takes nonnegative
+    payoffs only, hence u(1 - 1_{w}) - 1 there.
     """
     n = space.size
-    if u.kind == "distortion":
-        # u(-1_A) = -(1 - psi(P[A^c])): need psi(1 - mass) < 1 for each singleton
-        for m in space.mass:
-            if float(u.distortion.psi(1 - m)) >= 1.0:
-                return False
-        return True
-    if u.kind == "scenario":
-        # u(-1_{w}) = -max_Q Q[{w}]: some measure must charge every outcome
-        for i in range(n):
-            if all(float(q[i]) <= 0 for q in u.scenarios.measures):
-                return False
-        return True
-    # product route rejects negative payoffs; translate: u(-1_A) = u(1_{A^c}) - 1
+    shift = 1.0 if u.kind == "product" else 0.0
     for i in range(n):
-        ind = RandomVariable(tuple(0.0 if j == i else 1.0 for j in range(n)))
-        if product_example_eval(ind, u.k_alpha, u.k_x, space, filtration) - 1.0 >= 0.0:
+        x = RandomVariable(tuple(shift - (j == i) for j in range(n)))
+        if u.evaluate(x, space, filtration) - shift >= 0.0:
             return False
     return True

@@ -326,6 +326,61 @@ def test_core_bound_matches_vertex_enumeration(case):
         assert (witness is None) == (not feasible)
 
 
+@st.composite
+def _scenario_cases(draw):
+    """Random rational space (4..8 outcomes), 1-3 blocks, 1-3 rational
+    measures with frequent zeros (so some blocks go uncharged) and a few
+    payoffs on a coarse grid."""
+    n = draw(st.integers(4, 8))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    space = OutcomeSpace.from_masses([Fraction(w, sum(weights)) for w in weights])
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    blocks = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    measures = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=n, max_size=n).filter(any))
+        measures.append([Fraction(w, sum(q)) for w in q])
+    payoffs = draw(st.lists(st.lists(st.integers(-8, 8), min_size=n, max_size=n), min_size=1, max_size=3))
+    cu = ConditionalUtility(
+        CoherentUtility.from_scenarios(ScenarioSet.of(measures)), space, Filtration.two_period(space, blocks))
+    return cu, [RandomVariable.of([v / 4 for v in raw]) for raw in payoffs]
+
+
+def _exact_scenario_block(cu, x, block):
+    """(conditional value, fell back, core bound) on one block, in Fractions:
+    min over the measures charging the block of E_Q[x | A]; uncharged, the
+    value is E_P[x | A] and the bound is max x on A."""
+    xs = {i: Fraction(x.values[i]) for i in block}
+    conds = []
+    for q in cu.base.scenarios.measures:
+        qa = sum(q[i] for i in block)
+        if qa > 0:
+            conds.append(sum(q[i] * xs[i] for i in block) / qa)
+    if conds:
+        return min(conds), False, min(conds)
+    pa = sum(cu.space.mass[i] for i in block)
+    return sum(cu.space.mass[i] * xs[i] for i in block) / pa, True, max(xs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenario_cases())
+def test_scenario_blockwise_and_core_bound_match_exact_reference(case):
+    cu, payoffs = case
+    blocks = cu.filtration.f1.blocks
+    for x in payoffs:
+        got, flags = blockwise_eval(cu.base, cu.space, cu.filtration.f1, x)
+        expected_flags = []
+        for bi, block in enumerate(blocks):
+            value, fell_back, bound = _exact_scenario_block(cu, x, block)
+            assert all(abs(got.values[i] - float(value)) <= 1e-12 for i in block)
+            assert abs(core_bound(cu, x, block) - float(bound)) <= 1e-12
+            if fell_back:
+                expected_flags.append(bi)
+        assert flags == tuple(expected_flags)
+
+
 # --------------------------------------- conditional commonotone additivity
 
 def test_conditional_additivity_on_commonotone_pair():

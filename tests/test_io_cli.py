@@ -397,6 +397,51 @@ def test_cli_lift_rejects_wrong_length(capsys):
     assert "3 entries for 8 outcomes" in err
 
 
+@pytest.mark.parametrize("flag", ["--f", "--g"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_cli_lift_rejects_non_finite_payoff(flag, bad, capsys):
+    values = {"--f": ["1"] * 6 + ["0"] * 6, "--g": ["0"] * 6 + ["1"] * 6}
+    values[flag] = [bad] * 6 + values[flag][6:]
+    code, out, err = run_cli(
+        ["lift", "--space", data("space_12.json"), "--utility", data("utility_es_half.json"),
+         "--f=" + ",".join(values["--f"]), "--g=" + ",".join(values["--g"]), "--format", "csv"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "finite" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_cli_tc_check_rejects_non_finite_or_negative_tol(tol, fmt, capsys):
+    # a NaN tolerance let every gap pass: exit 0 beside a CSV gap of 0.5
+    with pytest.raises(SystemExit) as exc:
+        main(["tc-check", "--space", data("space_4.json"), "--utility", data("utility_es_half.json"),
+              "--tol", tol, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "argument --tol" in captured.err
+
+
+def test_cli_tc_check_accepts_zero_tol(capsys):
+    code, _, _ = run_cli(
+        ["tc-check", "--space", data("space_4.json"), "--utility", data("utility_expectation.json"),
+         "--probes", "5", "--tol", "0"],
+        capsys,
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "7"), ("--probes", "5")])
+def test_cli_demo_multiperiod_takes_no_probe_flags(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "multiperiod", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag}" in err
+
+
 def test_cli_demo_incompatibility_values(capsys):
     code, out, _ = run_cli(["demo", "incompatibility", "--probes", "5"], capsys)
     assert code == 0

@@ -338,6 +338,55 @@ def test_relevance_product_example():
     assert relevance_check(u, space, filt)
 
 
+def _per_kind_relevance(u, space, filt=None) -> bool:
+    """Reference: one hand formula per kind for u(-1_{w}) < 0 on every outcome."""
+    n = space.size
+    if u.kind == "distortion":
+        return all(float(u.distortion.psi(1 - m)) < 1.0 for m in space.mass)
+    if u.kind == "scenario":
+        return all(any(float(q[i]) > 0 for q in u.scenarios.measures) for i in range(n))
+    translates = (RandomVariable(tuple(0.0 if j == i else 1.0 for j in range(n))) for i in range(n))
+    return all(product_example_eval(t, u.k_alpha, u.k_x, space, filt) - 1.0 < 0.0 for t in translates)
+
+
+RELEVANCE_DISTORTIONS = [
+    EXPECTATION, ES_HALF, ES_QUARTER, DistortionFunction.es((1, 1)), DistortionFunction.es((1, 12)),
+    POWER_HALF, DistortionFunction.power(0.0), DistortionFunction.power(1.0), PIECEWISE,
+    DistortionFunction.piecewise([(0, 0), (0.9, 0.1), (1, 1)]),
+]
+
+
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=7),
+    st.lists(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=7, max_size=7).filter(any), min_size=1, max_size=3),
+)
+def test_relevance_check_matches_per_kind_formulas(weights, raw_measures):
+    space = OutcomeSpace.from_masses([Fraction(w, sum(weights)) for w in weights])
+    n = space.size
+    for psi in RELEVANCE_DISTORTIONS:
+        u = CoherentUtility.from_distortion(psi)
+        assert relevance_check(u, space) == _per_kind_relevance(u, space)
+    rows = [q[:n] for q in raw_measures if any(q[:n])]
+    if rows:
+        u = CoherentUtility.from_scenarios(ScenarioSet.of([[Fraction(w, sum(q)) for w in q] for q in rows]))
+        assert relevance_check(u, space) == _per_kind_relevance(u, space)
+
+
+def test_relevance_exact_kinds_at_sub_ulp_mass():
+    # u(-1_{w}) = -P[w]/alpha < 0 even where 1 - P[w] rounds to 1.0 in float
+    m = Fraction(1, 10**17)
+    space = OutcomeSpace.from_masses([m, 1 - m])
+    for psi in (EXPECTATION, ES_HALF):
+        assert relevance_check(CoherentUtility.from_distortion(psi), space)
+
+
+@pytest.mark.parametrize("k_alpha,k_x", [(1, 1), (1, 3), (2, 4), (3, 2)])
+def test_relevance_check_product_matches_translate_formula(k_alpha, k_x):
+    space, filt = product_space(k_alpha, k_x)
+    u = CoherentUtility.product_example(k_alpha, k_x)
+    assert relevance_check(u, space, filt) == _per_kind_relevance(u, space, filt)
+
+
 # ----------------------------------------------------------- variant plumbing
 
 def test_coherent_utility_dispatch():
