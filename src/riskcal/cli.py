@@ -151,8 +151,7 @@ def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
     doc["f1_blocks"] = [list(b) for b in filtration.f1.blocks]
     doc["conditional_resolution"] = conditional_resolution(space, filtration)
     if args.utility:
-        u = load_utility_file(args.utility)
-        doc["utility"] = u.describe()
+        doc["utility"] = _load_utility(args, space).describe()
     code = 0 if report.ok else 2
     if args.fmt == "csv":
         rows = [{"index": i, "violation": v} for i, v in enumerate(report.violations)]

@@ -2,12 +2,13 @@
 
 The one-period conditional utility of x given F1 is computed block by
 block: CoherentUtility.given restricts the base to the block's conditional
-law and CoherentUtility.evaluate applies it there, the path of the direct
-value; where no scenario measure charges a block, the conditional
-expectation stands in and the block is flagged. Recomposition feeds the
-resulting F1-measurable payoff back through the base utility; the absolute
-gap between the direct two-period value and the recomposed one is the
-time-inconsistency certificate this module reports.
+law, once per block for a ConditionalUtility, and CoherentUtility.evaluate
+applies it there to each payoff, the path of the direct value; where no
+scenario measure charges a block, the conditional expectation stands in
+and the block is flagged. Recomposition feeds the resulting F1-measurable
+payoff back through the base utility; the absolute gap between the direct
+two-period value and the recomposed one is the time-inconsistency
+certificate this module reports.
 
 The cone test asks the same question in decomposition form: an acceptable
 x splits as x = eta + zeta with eta F1-measurable acceptable today and
@@ -26,7 +27,9 @@ outcome cap applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +66,10 @@ _EXPECTATION = CoherentUtility.from_distortion(DistortionFunction.expectation())
 
 @dataclass(frozen=True)
 class ConditionalUtility:
-    """A base utility bound to a space and a two-period filtration."""
+    """A base utility bound to a space and a two-period filtration; the
+    cached `conditioned` holds CoherentUtility.given's pair for each F1 block
+    (utility None where no scenario measure charges it) and the block's float
+    masses, built on first use so that no probe conditions a block again."""
 
     base: CoherentUtility
     space: OutcomeSpace
@@ -75,6 +81,11 @@ class ConditionalUtility:
                 "conditional evaluation needs a distortion or scenario base; "
                 "the product-grid utility is a two-period object only"
             )
+
+    @cached_property
+    def conditioned(self) -> dict[tuple[int, ...], tuple]:
+        s = self.space
+        return {b: (*self.base.given(s, b), tuple(float(s.mass[i]) for i in b)) for b in self.filtration.f1.blocks}
 
 
 @dataclass(frozen=True)
@@ -102,12 +113,24 @@ def blockwise_eval(
 
     Returns the partition-measurable result plus the indices of blocks where
     a scenario base had no measure charging the block and the evaluation fell
-    back to the conditional expectation under P.
+    back to the conditional expectation under P. Conditions every block anew.
     """
-    out = [0.0] * space.size
+    cu = ConditionalUtility(base, space, Filtration.two_period(space, partition.blocks))
+    return conditional_eval_with_flags(cu, x)
+
+
+def conditional_eval(cu: ConditionalUtility, x: RandomVariable) -> RandomVariable:
+    """One-period conditional utility of x given F1 (blockwise base evaluation)."""
+    return conditional_eval_with_flags(cu, x)[0]
+
+
+def conditional_eval_with_flags(
+    cu: ConditionalUtility, x: RandomVariable
+) -> tuple[RandomVariable, tuple[int, ...]]:
+    """conditional_eval plus the block indices where the scenario fallback fired."""
+    out = [0.0] * cu.space.size
     fallbacks: list[int] = []
-    for bi, block in enumerate(partition.blocks):
-        u, law = base.given(space, block)
+    for bi, (block, (u, law, _)) in enumerate(cu.conditioned.items()):
         if u is None:
             u = _EXPECTATION
             fallbacks.append(bi)
@@ -115,18 +138,6 @@ def blockwise_eval(
         for i in block:
             out[i] = v
     return RandomVariable(tuple(out)), tuple(fallbacks)
-
-
-def conditional_eval(cu: ConditionalUtility, x: RandomVariable) -> RandomVariable:
-    """One-period conditional utility of x given F1 (blockwise base evaluation)."""
-    return blockwise_eval(cu.base, cu.space, cu.filtration.f1, x)[0]
-
-
-def conditional_eval_with_flags(
-    cu: ConditionalUtility, x: RandomVariable
-) -> tuple[RandomVariable, tuple[int, ...]]:
-    """conditional_eval plus the block indices where the scenario fallback fired."""
-    return blockwise_eval(cu.base, cu.space, cu.filtration.f1, x)
 
 
 def two_period_eval(cu: ConditionalUtility, x: RandomVariable) -> float:
@@ -177,7 +188,7 @@ def tc_gap(
 
     With check_cones, every probe with nonnegative direct value also gets a
     cone_decompose verdict (others are skipped; the question is only posed
-    for acceptable positions).
+    for acceptable positions). A non-finite value raises ValueError.
     """
     probes = tuple(probes)
     if not probes:
@@ -190,6 +201,8 @@ def tc_gap(
         direct = two_period_eval(cu, x)
         recomposed = recompose(cu, x)
         gap = abs(direct - recomposed)
+        if not math.isfinite(gap):  # else NaN passes: it never exceeds max_gap
+            raise ValueError(f"probe {pid}: non-finite value (direct {direct}, recomposed {recomposed})")
         rows.append((pid, direct, recomposed, gap))
         if gap > max_gap:
             max_gap, witness = gap, x
@@ -205,7 +218,7 @@ def tc_gap(
 
 
 def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
-    """min{E_Q[x | A] : Q in the dual set of the base, Q(A) > 0} on block A.
+    """min{E_Q[x | A] : Q in the dual set of the base, Q(A) > 0} on F1 block A.
 
     Scenario bases take the minimum over their measures; when none charges
     the block, eta there is unconstrained and the bound is max x on A.
@@ -216,14 +229,14 @@ def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
     one sort and one pass of psi over the outcomes; the iteration also stops
     when t fails to decrease, so float noise cannot make it cycle.
     """
+    u, _, mass = cu.conditioned[tuple(block)]
     if cu.base.kind == "scenario":
-        conditioned = cu.base.scenarios.given(block)
         on_block = RandomVariable(tuple(x.values[i] for i in block))
-        return max(on_block.values) if conditioned is None else scenario_min_eval(on_block, conditioned)[0]
+        return max(on_block.values) if u is None else scenario_min_eval(on_block, u.scenarios)[0]
 
     space = cu.space
     inside = set(block)
-    t = sum(float(space.mass[i]) * x.values[i] for i in block) / sum(float(space.mass[i]) for i in block)
+    t = sum(m * x.values[i] for m, i in zip(mass, block)) / sum(mass)
     while True:
         y = [x.values[i] - t if i in inside else 0.0 for i in range(space.size)]
         order = sorted(range(space.size), key=y.__getitem__, reverse=True)

@@ -98,15 +98,6 @@ class Partition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         return cls(tuple(tuple(int(i) for i in b) for b in blocks))
 
-    def block_index(self, n: int) -> tuple[int, ...]:
-        """Map outcome index -> index of the containing block (-1 if uncovered)."""
-        out = [-1] * n
-        for j, b in enumerate(self.blocks):
-            for i in b:
-                if 0 <= i < n:
-                    out[i] = j
-        return tuple(out)
-
     def refines(self, coarser: "Partition") -> bool:
         cover = {}
         for j, b in enumerate(coarser.blocks):
@@ -189,9 +180,6 @@ class RandomVariable:
                 if abs(self.values[i] - ref) > tol:
                     return False
         return True
-
-    def is_finite(self) -> bool:
-        return all(v == v and abs(v) != float("inf") for v in self.values)
 
 
 @dataclass(frozen=True)

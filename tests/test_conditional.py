@@ -27,6 +27,7 @@ from riskcal import (
     crafted_ladder,
     default_probes,
     recompose,
+    scenario_min_eval,
     tc_gap,
     two_period_eval,
 )
@@ -177,6 +178,13 @@ def test_tc_gap_crafted_family_positive_for_es():
 def test_tc_gap_empty_probes_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         tc_gap(CU4_ES, [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_tc_gap_rejects_non_finite_value(bad):
+    # a NaN gap never exceeds max_gap, so it would pass the audit silently
+    with pytest.raises(ValueError, match="probe 1: non-finite"):
+        tc_gap(CU4_ES, [LADDER4, RandomVariable.of([bad, 0.0, 0.0, 0.0])])
 
 
 def test_default_probes_shape_and_determinism():
@@ -415,3 +423,88 @@ def test_blockwise_eval_on_finer_partition():
     assert flags == ()
     assert y.is_measurable(p2)
     assert y.values == (0.0, 0.0, 2.0, 2.0, 8.0, 8.0, 32.0, 32.0)
+
+
+# ------------------------------------------------- conditioning once per block
+
+@st.composite
+def _reused_cases(draw):
+    """Random rational space (4..10 outcomes), 1-3 blocks, a distortion or a
+    scenario base (whose measures leave the last block uncharged when drawn
+    so) and payoffs with frequent ties."""
+    n = draw(st.integers(4, 10))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    space = OutcomeSpace.from_masses([Fraction(w, sum(weights)) for w in weights])
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    blocks = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    kind = draw(st.sampled_from(["es", "power", "piecewise", "expectation", "scenario"]))
+    if kind == "scenario":
+        uncharged = set(blocks[-1]) if k > 1 and draw(st.booleans()) else set()
+        charged = [i for i in range(n) if i not in uncharged]
+        measures = []
+        for _ in range(draw(st.integers(1, 3))):
+            q = [0] * n
+            for i in charged:
+                q[i] = draw(st.sampled_from([0, 0, 1, 2, 5]))
+            if not any(q):
+                q[charged[0]] = 1
+            measures.append([Fraction(w, sum(q)) for w in q])
+        base = CoherentUtility.from_scenarios(ScenarioSet.of(measures))
+    elif kind == "es":
+        base = CoherentUtility.from_distortion(DistortionFunction.es(Fraction(draw(st.integers(1, 12)), 12)))
+    elif kind == "power":
+        base = CoherentUtility.from_distortion(DistortionFunction.power(draw(st.floats(0.0, 1.0))))
+    elif kind == "piecewise":
+        # slope s below the knot, (1 - p s) / (1 - p) >= 1 >= s above: convex
+        p, slope = draw(st.sampled_from([0.2, 0.5, 0.8])), draw(st.sampled_from([0.0, 0.25, 1.0]))
+        base = CoherentUtility.from_distortion(DistortionFunction.piecewise([(0, 0), (p, p * slope), (1, 1)]))
+    else:
+        base = EXPECT
+    value = st.one_of(st.integers(-8, 8).map(lambda v: v / 4), st.floats(-2.0, 2.0))
+    payoffs = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4))
+    cu = ConditionalUtility(base, space, Filtration.two_period(space, blocks))
+    return cu, [RandomVariable.of(v) for v in payoffs]
+
+
+def _fresh_core_bound(cu, x, block):
+    """core_bound without the instance's conditioned blocks: ScenarioSet.given
+    per call for a scenario base, a new ConditionalUtility for a distortion."""
+    if cu.base.kind != "scenario":
+        return core_bound(ConditionalUtility(cu.base, cu.space, cu.filtration), x, block)
+    conditioned = cu.base.scenarios.given(block)
+    on_block = RandomVariable(tuple(x.values[i] for i in block))
+    return max(on_block.values) if conditioned is None else scenario_min_eval(on_block, conditioned)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reused_cases())
+def test_reused_conditioning_matches_fresh_per_call_path(case):
+    cu, payoffs = case
+    for x in payoffs:  # one ConditionalUtility serves every payoff
+        want, want_flags = blockwise_eval(cu.base, cu.space, cu.filtration.f1, x)
+        assert conditional_eval_with_flags(cu, x) == (want, want_flags)
+        assert conditional_eval(cu, x) == want
+        assert recompose(cu, x) == cu.base.evaluate(want, cu.space, cu.filtration)
+        for block in cu.filtration.f1.blocks:
+            assert core_bound(cu, x, block) == _fresh_core_bound(cu, x, block)
+
+
+@pytest.mark.parametrize("base", [
+    ES_HALF,
+    CoherentUtility.from_scenarios(ScenarioSet.of([[Fraction(1, 8)] * 8])),
+    CoherentUtility.from_scenarios(ScenarioSet.of([[Fraction(1, 4)] * 4 + [Fraction(0)] * 4])),
+])
+def test_tc_gap_conditions_each_block_once(base, monkeypatch):
+    calls = []
+    given_once = CoherentUtility.given
+
+    def counting_given(self, space, block):
+        calls.append(block)
+        return given_once(self, space, block)
+
+    monkeypatch.setattr(CoherentUtility, "given", counting_given)
+    report = tc_gap(ConditionalUtility(base, SPACE8, FILT8), default_probes(SPACE8, 40), check_cones=True)
+    assert report.cone_verdicts  # the ladder probe at least is acceptable
+    assert sorted(calls) == sorted(FILT8.f1.blocks)

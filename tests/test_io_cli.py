@@ -235,6 +235,22 @@ def test_cli_validate_names_utility(capsys):
     assert parse_report(out)["utility"] == "es(1/2)"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_cli_validate_checks_utility_against_space(fmt, capsys):
+    # the same check eval makes: 8-entry measures on a 4-outcome space
+    code, out, err = run_cli(
+        ["validate", "--space", data("space_4.json"), "--utility", data("utility_scenario.json"),
+         "--format", fmt],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: measure 0 has 8 entries for 4 outcomes\n"
+    code, out, _ = run_cli(
+        ["validate", "--space", data("space_8.json"), "--utility", data("utility_scenario.json")], capsys
+    )
+    assert code == 0 and parse_report(out)["utility"] == "scenario[3]"
+
+
 def test_cli_eval_text_and_counts(capsys):
     code, out, _ = run_cli(
         ["eval", "--space", data("space_4.json"), "--utility", data("utility_es_half.json"),
