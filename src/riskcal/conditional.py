@@ -37,6 +37,7 @@ from .space import Filtration, OutcomeSpace, Partition, RandomVariable
 from .utility import (
     CoherentUtility,
     DistortionFunction,
+    ScenarioSet,
     core_vertex,
     is_commonotone_pair,
     scenario_min_eval,
@@ -81,6 +82,8 @@ class ConditionalUtility:
                 "conditional evaluation needs a distortion or scenario base; "
                 "the product-grid utility is a two-period object only"
             )
+        if self.base.kind == "scenario":
+            ScenarioSet.of(self.base.scenarios.measures, self.space)  # raises if a measure's length is not space.size
 
     @cached_property
     def conditioned(self) -> dict[tuple[int, ...], tuple]:
@@ -207,7 +210,7 @@ def tc_gap(
         if gap > max_gap:
             max_gap, witness = gap, x
         if check_cones and direct >= 0.0:
-            feasible, _ = cone_decompose(cu, x)
+            feasible, _ = _cone_split(cu, x, direct)
             verdicts.append((pid, feasible))
     return TimeConsistencyReport(
         max_gap=max_gap,
@@ -265,7 +268,13 @@ def cone_decompose(
     Returns (feasible, (eta, zeta)) with the witness re-verified, or
     (feasible=False, None).
     """
-    direct = two_period_eval(cu, x)
+    return _cone_split(cu, x, two_period_eval(cu, x))
+
+
+def _cone_split(
+    cu: ConditionalUtility, x: RandomVariable, direct: float
+) -> tuple[bool, tuple[RandomVariable, RandomVariable] | None]:
+    """cone_decompose for a probe whose direct value is already known."""
     if direct < -GAP_TOL:
         raise ValueError(f"not acceptable: u02(x) = {direct}")
 

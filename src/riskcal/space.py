@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -340,19 +340,61 @@ def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
     return groups if place(0) else None
 
 
+def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
+    """Whether positions 0..len-1 split into n groups of equal mass sum.
+
+    Decides existence only, not _equal_split's canonical assignment: the
+    masses become integer weights (mass * lcm of the denominators), placed
+    largest first (the ordering of complete multi-way number partitioning,
+    Korf 2009) into groups with room; a group sum already tried for the
+    current weight is skipped, and a branch stops when it leaves a group
+    with room above 0 but below the smallest weight, which nothing can fill.
+    The search is complete, so False means no split exists.
+    """
+    scale = lcm(*(m.denominator for m in masses))
+    weights = sorted((int(m * scale) for m in masses), reverse=True)
+    total = sum(weights)
+    if total % n or max(weights, default=0) > total // n:
+        return False
+    smallest = min(weights, default=0)
+    rooms = [total // n] * n
+
+    def place(pos: int) -> bool:
+        if pos == len(weights):  # every group is full, since the weights sum to n * target
+            return True
+        w = weights[pos]
+        tried: set[int] = set()
+        for g in range(n):
+            room = rooms[g]
+            if room < w or room in tried:
+                continue
+            tried.add(room)
+            if 0 < room - w < smallest:  # dead room
+                continue
+            rooms[g] = room - w
+            if place(pos + 1):
+                return True
+            rooms[g] = room
+        return False
+
+    return place(0)
+
+
 def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
     """Largest n >= 2 such that every F1 block splits into n equal-conditional-mass
     sub-events (exact arithmetic); 0 if no such n exists.
 
     This is the finite surrogate for conditional atomlessness: downstream grid
-    constructions record the n they relied on.
+    constructions record the n they relied on. Only existence matters here,
+    so each (block, n) is decided by _split_exists; the canonical assignment
+    of _equal_split is computed by build_uniform_grid, for its one n.
     """
     blocks = filtration.f1.blocks
     if not blocks:
         return 0
     cap = min(len(b) for b in blocks)
     for n in range(cap, 1, -1):
-        if all(_equal_split([space.mass[i] for i in b], n) is not None for b in blocks):
+        if all(_split_exists([space.mass[i] for i in b], n) for b in blocks):
             return n
     return 0
 
@@ -361,8 +403,11 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     """Split each F1 block into n equal-conditional-mass groups; U = group rank / n.
 
     Requires conditional_resolution >= n with n dividing it; n=None uses the
-    conditional resolution itself. The assignment is the canonical-order
-    backtracking of _equal_split, so outputs are reproducible.
+    conditional resolution itself. Every block is first checked with the
+    existence search _split_exists, the first that fails naming itself in
+    the error; the ranks then come from the canonical-order backtracking of
+    _equal_split on the block's conditional masses, run once per distinct
+    conditional-mass sequence, so outputs are reproducible.
     """
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
@@ -378,20 +423,25 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
                     "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
                 )
             n = res
-        for j, block in enumerate(filtration.f1.blocks):
-            split = _equal_split([space.mass[i] for i in block], n)
-            if split is None:
+        blocks = filtration.f1.blocks
+        for j, block in enumerate(blocks):
+            if not _split_exists([space.mass[i] for i in block], n):
                 raise ResolutionUnavailableError(
                     f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                     f"{n}-way equal-conditional-mass split"
                 )
-            for rank0, positions in enumerate(split):
-                for pos in positions:
-                    ranks[block[pos]] = rank0 + 1
-        if res % n != 0:  # every block split n ways, so n <= res
+        if res % n != 0:  # every block splits n ways, so n <= res
             raise ResolutionUnavailableError(
                 f"resolution unavailable: n={n} does not divide conditional resolution {res}"
             )
+        splits: dict[tuple[Fraction, ...], list[list[int]]] = {}
+        for block in blocks:
+            law = space.given(block).mass
+            if law not in splits:
+                splits[law] = _equal_split(law, n)
+            for rank0, positions in enumerate(splits[law]):
+                for pos in positions:
+                    ranks[block[pos]] = rank0 + 1
 
     u = RandomVariable(tuple(r / n for r in ranks))
     levels = tuple(EventSet(tuple(r <= k for r in ranks)) for k in range(1, n + 1))

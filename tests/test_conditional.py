@@ -508,3 +508,27 @@ def test_tc_gap_conditions_each_block_once(base, monkeypatch):
     report = tc_gap(ConditionalUtility(base, SPACE8, FILT8), default_probes(SPACE8, 40), check_cones=True)
     assert report.cone_verdicts  # the ladder probe at least is acceptable
     assert sorted(calls) == sorted(FILT8.f1.blocks)
+
+
+def test_tc_gap_evaluates_each_direct_value_once(monkeypatch):
+    import riskcal.conditional as conditional
+
+    calls = []
+    direct_once = conditional.two_period_eval
+
+    def counting_direct(cu, x):
+        calls.append(x)
+        return direct_once(cu, x)
+
+    monkeypatch.setattr(conditional, "two_period_eval", counting_direct)
+    probes = default_probes(SPACE8, 40)
+    report = tc_gap(CU8_ES, probes, check_cones=True)
+    assert report.cone_verdicts  # the ladder probe at least is acceptable
+    assert calls == list(probes)
+
+
+@pytest.mark.parametrize("entries", [8, 2])
+def test_conditional_utility_checks_scenario_lengths(entries):
+    base = CoherentUtility.from_scenarios(ScenarioSet.of([[Fraction(1, entries)] * entries]))
+    with pytest.raises(ValueError, match=f"^measure 0 has {entries} entries for 4 outcomes$"):
+        ConditionalUtility(base, SPACE4, FILT4)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -214,6 +215,33 @@ def test_cli_validate_ok(capsys):
     assert doc["outcomes"] == 8
     assert doc["conditional_resolution"] == 4
     assert doc["f1_blocks"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+def test_cli_validate_decides_resolution_of_a_long_ramp_quickly(tmp_path, capsys):
+    # one block with masses proportional to 1..32: 528 splits into 16 pairs summing to 33
+    ramp = tmp_path / "ramp_32.json"
+    ramp.write_text(json.dumps({"masses": [[k, 528] for k in range(1, 33)], "f1_blocks": [list(range(32))]}))
+    start = perf_counter()
+    code, out, _ = run_cli(["validate", "--space", str(ramp)], capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 0
+    assert parse_report(out)["conditional_resolution"] == 16
+
+
+def test_cli_lift_names_the_block_that_cannot_split(tmp_path, capsys):
+    # block 0 (uniform) splits 4 ways; block 1, masses 2:2:1:1, splits 2 and 3 ways only
+    space = tmp_path / "two_blocks.json"
+    space.write_text(json.dumps({
+        "masses": [[1, 8]] * 4 + [[1, 6], [1, 6], [1, 12], [1, 12]],
+        "f1_blocks": [[0, 1, 2, 3], [4, 5, 6, 7]],
+    }))
+    code, out, err = run_cli(
+        ["lift", "--space", str(space), "--utility", data("utility_es_half.json"),
+         "--f", "1,1,1,1,0,0,0,0", "--g", "0,0,0,0,-1,-1,-1,-1", "--grid-n", "4"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "F1 block 1 (4, 5, 6, 7) admits no 4-way equal-conditional-mass split" in err
 
 
 def test_cli_validate_reports_violations(tmp_path, capsys):

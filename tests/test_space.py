@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcal import (
@@ -21,6 +21,7 @@ from riskcal import (
     set_with_conditional_mass,
     validate,
 )
+from riskcal.space import _equal_split, _split_exists
 
 
 def uniform_filtered(n: int, blocks) -> tuple[OutcomeSpace, Filtration]:
@@ -217,6 +218,103 @@ def test_grid_on_unequal_masses():
     for block in filt.f1.blocks:
         half = space.mass_of(i for i in block if grid.level_set(1).member[i])
         assert half / space.mass_of(block) == Fraction(1, 2)
+
+
+# ------------------------------------ existence search against canonical split
+
+# rational masses of 1-10 outcomes, half of the draws from a few tied weights
+_weights = st.one_of(st.sampled_from([1, 1, 2, 2, 3, 4, 6]), st.integers(1, 30))
+_block_masses = st.lists(
+    st.tuples(_weights, st.sampled_from([1, 1, 2, 3, 7])).map(lambda wd: Fraction(*wd)),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def _filtered_spaces(draw):
+    """1-3 F1 blocks of 1-10 outcomes each, interleaved over the indices."""
+    blocks = draw(st.lists(_block_masses, min_size=1, max_size=3))
+    total = sum(sum(b) for b in blocks)
+    order = draw(st.permutations(range(sum(len(b) for b in blocks))))
+    masses = [Fraction(0)] * len(order)
+    f1, at = [], 0
+    for b in blocks:
+        idx = sorted(order[at:at + len(b)])
+        at += len(b)
+        for i, m in zip(idx, b):
+            masses[i] = m / total
+        f1.append(idx)
+    space = OutcomeSpace.from_masses(masses)
+    return space, Filtration.two_period(space, f1)
+
+
+def _canonical_resolution(space, filt):
+    """conditional_resolution as every n's canonical split of every block."""
+    blocks = filt.f1.blocks
+    cap = min(len(b) for b in blocks)
+    for n in range(cap, 1, -1):
+        if all(_equal_split([space.mass[i] for i in b], n) is not None for b in blocks):
+            return n
+    return 0
+
+
+def _canonical_grid_ranks(space, filt, n):
+    """build_uniform_grid's (n, ranks) for n = None or n >= 2 by the
+    per-block canonical path: each block's _equal_split on its masses, the
+    first failure named, then the divisibility check."""
+    res = _canonical_resolution(space, filt)
+    if n is None:
+        if res == 0:
+            raise ResolutionUnavailableError(
+                "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
+            )
+        n = res
+    ranks = [0] * space.size
+    for j, block in enumerate(filt.f1.blocks):
+        split = _equal_split([space.mass[i] for i in block], n)
+        if split is None:
+            raise ResolutionUnavailableError(
+                f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
+                f"{n}-way equal-conditional-mass split"
+            )
+        for rank0, positions in enumerate(split):
+            for pos in positions:
+                ranks[block[pos]] = rank0 + 1
+    if res % n != 0:
+        raise ResolutionUnavailableError(
+            f"resolution unavailable: n={n} does not divide conditional resolution {res}"
+        )
+    return n, tuple(ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_masses)
+def test_split_exists_matches_canonical_split(masses):
+    for n in range(1, len(masses) + 2):
+        assert _split_exists(masses, n) == (_equal_split(masses, n) is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filtered_spaces())
+def test_resolution_and_grid_match_canonical_path(case):
+    space, filt = case
+    assert conditional_resolution(space, filt) == _canonical_resolution(space, filt)
+    for n in [None, *range(2, max(len(b) for b in filt.f1.blocks) + 2)]:
+        try:
+            want = _canonical_grid_ranks(space, filt, n)
+        except ResolutionUnavailableError as e:
+            with pytest.raises(ResolutionUnavailableError) as exc:
+                build_uniform_grid(space, filt, n)
+            assert str(exc.value) == str(e)
+        else:
+            grid = build_uniform_grid(space, filt, n)
+            assert (grid.resolution, grid.ranks) == want
+
+
+def test_split_exists_on_an_empty_block():
+    # validate reports an empty block, but build_uniform_grid can still be handed one
+    assert _split_exists([], 3) and _equal_split([], 3) is not None
 
 
 # ------------------------------------------------ prescribed-mass event sets
