@@ -14,6 +14,10 @@ at their defaults (1729, 200, 1e-9) where the command has no such flag;
 identical configurations produce byte identical reports. Exit status: 2 for
 schema or input errors, 1 when tc-check finds a gap above tolerance, 0
 otherwise.
+
+Importing this module does not load numpy: eval, tc-check, cone-check and
+demo incompatibility import it at their first probe draw, and the other
+commands never do.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-import numpy as np
 
 from .conditional import (
     DEFAULT_SEED,
@@ -149,7 +151,8 @@ def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
     doc["violations"] = list(report.violations)
     doc["outcomes"] = space.size
     doc["f1_blocks"] = [list(b) for b in filtration.f1.blocks]
-    doc["conditional_resolution"] = conditional_resolution(space, filtration)
+    # the resolution reads masses through the F1 blocks, so only a valid space has one
+    doc["conditional_resolution"] = conditional_resolution(space, filtration) if report.ok else 0
     if args.utility:
         doc["utility"] = _load_utility(args, space).describe()
     code = 0 if report.ok else 2
@@ -282,6 +285,8 @@ def _demo_incompatibility(args: argparse.Namespace) -> tuple[str, int]:
     space_p, filt_p = load_space_file(packaged_data_path("space_product_64.json"))
     u_prod = load_utility_file(packaged_data_path("utility_product_8x8.json"))
     k_alpha = u_prod.k_alpha
+    import numpy as np  # here, so that commands which draw no probes never load numpy
+
     rng = np.random.default_rng(args.seed)
     max_err = 0.0
     for _ in range(20):

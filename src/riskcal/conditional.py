@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .space import Filtration, OutcomeSpace, Partition, RandomVariable
 from .utility import (
     CoherentUtility,
@@ -174,6 +172,8 @@ def default_probes(
 ) -> tuple[RandomVariable, ...]:
     """Crafted ladder probe plus `count` uniform draws from [-1, 1]^n
     (or [0, 1]^n for utilities defined on nonnegative payoffs only)."""
+    import numpy as np  # here, so that importing riskcal does not load numpy
+
     rng = np.random.default_rng(seed)
     probes = [crafted_ladder(space)]
     low = 0.0 if nonnegative else -1.0

@@ -22,6 +22,9 @@ Reports are emitted either as canonical JSON text (sorted keys, two-space
 indent, trailing newline) or as CSV with a fixed header; both forms re-parse
 with parse_report / parse_report_csv, and identical inputs produce identical
 bytes.
+
+packaged_data_path imports importlib.resources when it is called, so only
+the demos, which read the packaged example files, pay for that import.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import csv
 import io as _stdio
 import json
 from fractions import Fraction
-from importlib import resources
 
 from .space import Filtration, OutcomeSpace
 from .utility import CoherentUtility, DistortionFunction, ScenarioSet
@@ -171,6 +173,8 @@ def load_utility_file(path) -> CoherentUtility:
 
 def packaged_data_path(name: str):
     """Path to one of the example files shipped inside the package."""
+    from importlib import resources  # only the demos read packaged files
+
     return resources.files("riskcal").joinpath("data", name)
 
 

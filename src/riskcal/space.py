@@ -358,13 +358,17 @@ def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
         return False
     smallest = min(weights, default=0)
     rooms = [total // n] * n
-
-    def place(pos: int) -> bool:
+    # frame k belongs to weights[k]: the next group to try and the rooms
+    # already tried; weights[k] sits in group frames[k][0] - 1 while frame
+    # k + 1 exists. An explicit stack, so a long block needs no recursion.
+    frames: list[tuple[int, set[int]]] = [(0, set())]
+    while frames:
+        pos = len(frames) - 1
         if pos == len(weights):  # every group is full, since the weights sum to n * target
             return True
+        start, tried = frames[-1]
         w = weights[pos]
-        tried: set[int] = set()
-        for g in range(n):
+        for g in range(start, n):
             room = rooms[g]
             if room < w or room in tried:
                 continue
@@ -372,12 +376,14 @@ def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
             if 0 < room - w < smallest:  # dead room
                 continue
             rooms[g] = room - w
-            if place(pos + 1):
-                return True
-            rooms[g] = room
-        return False
-
-    return place(0)
+            frames[-1] = (g + 1, tried)
+            frames.append((0, set()))
+            break
+        else:
+            frames.pop()
+            if frames:  # take weights[pos - 1] back out of its group
+                rooms[frames[-1][0] - 1] += weights[pos - 1]
+    return False
 
 
 def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:

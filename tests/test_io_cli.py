@@ -254,6 +254,31 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     assert any("mass sum 3/2" in v for v in doc["violations"])
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("index", [99, -1])
+def test_cli_validate_reports_out_of_range_block_index(index, fmt, tmp_path, capsys):
+    # 99 used to raise IndexError in the resolution search; -1 wrapped to the last mass
+    bad = tmp_path / "bad_index.json"
+    bad.write_text(json.dumps({"masses": [[1, 4]] * 4, "f1_blocks": [[0, 1], [2, index]]}))
+    code, out, err = run_cli(["validate", "--space", str(bad), "--format", fmt], capsys)
+    assert code == 2 and err == ""
+    violation = f"f1 block 1 references outcome {index} outside 0..3"
+    if fmt == "csv":
+        assert {"index": "0", "violation": violation} in parse_report_csv(out)
+    else:
+        doc = parse_report(out)
+        assert doc["ok"] is False and violation in doc["violations"]
+        assert doc["conditional_resolution"] == 0
+
+
+def test_cli_validate_answers_a_block_longer_than_the_recursion_limit(tmp_path, capsys):
+    flat = tmp_path / "flat_1030.json"
+    flat.write_text(json.dumps({"masses": [[1, 1030]] * 1030, "f1_blocks": [list(range(1030))]}))
+    code, out, err = run_cli(["validate", "--space", str(flat)], capsys)
+    assert code == 0 and err == ""
+    assert parse_report(out)["conditional_resolution"] == 1030
+
+
 def test_cli_validate_names_utility(capsys):
     code, out, _ = run_cli(
         ["validate", "--space", data("space_4.json"), "--utility", data("utility_es_half.json")],
