@@ -12,8 +12,13 @@ Every command also takes --format text|csv and --out PATH; no command takes
 a flag it does not read. Reports embed the seed, probe count and tolerance,
 at their defaults (1729, 200, 1e-9) where the command has no such flag;
 identical configurations produce byte identical reports. Exit status: 2 for
-schema or input errors, 1 when tc-check finds a gap above tolerance, 0
-otherwise.
+schema or input errors, a negative --probes or --seed, and an input file
+that cannot be read or an --out that cannot be written (one stderr line
+naming the path); 1 when tc-check finds a gap above tolerance; 0 otherwise.
+
+main() parses with one parser per process, built at its first call, so a
+caller that runs many commands in one process builds it once; a one-shot
+`riskcal` process builds it once either way.
 
 Importing this module does not load numpy: eval, tc-check, cone-check and
 demo incompatibility import it at their first probe draw, and the other
@@ -23,6 +28,7 @@ commands never do.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -56,7 +62,14 @@ from .utility import CoherentUtility, DistortionFunction, ScenarioSet
 TOL = 1e-9
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `riskcal` parser, built at the first call and shared after it.
+
+    Building it is most of a short command's time, and parsing leaves no
+    state on it: every subcommand parses into a fresh namespace and no
+    default is mutable. `build_parser.__wrapped__` builds a fresh one.
+    """
     p = argparse.ArgumentParser(prog="riskcal", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -70,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         for f in files:
             sp.add_argument(f"--{f}", required=True, help=f"{f} file (JSON)")
         if probes is not None:
-            sp.add_argument("--probes", type=int, default=probes)
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            sp.add_argument("--probes", type=_nonnegative_int, default=probes)
+            sp.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
         if tol:
             sp.add_argument("--tol", type=_tolerance, default=TOL)
         sp.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
@@ -104,6 +117,17 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return tol
+
+
+def _nonnegative_int(text: str) -> int:
+    """--probes and --seed: an integer >= 0 (--probes 0 draws only the crafted ladder)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -378,9 +402,16 @@ def main(argv=None) -> int:
     except ValueError as e:  # SchemaError included
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # an input file that cannot be opened
+        print(f"input error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"output error: cannot write {args.out}: {e.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

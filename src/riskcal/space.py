@@ -308,8 +308,11 @@ def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
     """Partition positions 0..len-1 into n groups of equal mass sum, or None.
 
     Deterministic: positions are assigned in order, each to the lowest-index
-    group with room; complete backtracking search, so failure means no split
-    exists. Exact Fraction arithmetic throughout.
+    group with room; a group sum already tried for the current position is
+    skipped, since symmetric group states are equivalent. Complete
+    backtracking search, so failure means no split exists. Exact Fraction
+    arithmetic throughout, on an explicit stack, so a long block needs no
+    recursion.
     """
     total = sum(masses, Fraction(0))
     target = total / n
@@ -317,27 +320,33 @@ def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
         return None
     groups: list[list[int]] = [[] for _ in range(n)]
     sums = [Fraction(0)] * n
-
-    def place(pos: int) -> bool:
-        if pos == len(masses):
-            return all(s == target for s in sums)
+    # frame k belongs to masses[k]: its group, that group's sum before it
+    # came, and the group sums already tried for it
+    frames: list[tuple[int, Fraction, set[Fraction]]] = []
+    start, tried = 0, set()  # for masses[len(frames)]: the next group to try, the sums tried
+    while True:
+        pos = len(frames)
+        if pos == len(masses):  # every group is full, since the masses sum to n * target
+            return groups
         m = masses[pos]
-        tried: set[Fraction] = set()
-        for g in range(n):
-            if sums[g] + m > target:
+        for g in range(start, n):
+            before = sums[g]
+            after = before + m
+            if after > target or before in tried:
                 continue
-            if sums[g] in tried:  # symmetric group states are equivalent
-                continue
-            tried.add(sums[g])
-            sums[g] += m
+            tried.add(before)
+            sums[g] = after
             groups[g].append(pos)
-            if place(pos + 1):
-                return True
-            sums[g] -= m
+            frames.append((g, before, tried))
+            start, tried = 0, set()
+            break
+        else:
+            if not frames:
+                return None
+            g, before, tried = frames.pop()  # take masses[pos - 1] back out of group g
+            sums[g] = before
             groups[g].pop()
-        return False
-
-    return groups if place(0) else None
+            start = g + 1
 
 
 def _split_exists(masses: Sequence[Fraction], n: int) -> bool:

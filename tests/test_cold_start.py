@@ -1,4 +1,5 @@
-"""Import cost of a riskcal process: numpy loads only when a command draws probes."""
+"""Import cost of a riskcal process: numpy loads only when a command draws
+probes, and the CLI parser only when main() first runs."""
 
 import json
 import os
@@ -55,3 +56,10 @@ def test_import_without_site_packages_loads_neither_numpy_nor_resources():
                  "print('numpy' in sys.modules, 'importlib.resources' in sys.modules)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "False"]
+
+
+def test_import_builds_no_parser():
+    # main() builds the parser at its first call; importing must not
+    run = _fresh("-c", "import riskcal.cli; print(riskcal.cli.build_parser.cache_info().currsize)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"]

@@ -1,11 +1,18 @@
 """File schemas, report serialization, and the command-line front end."""
 
+import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction
 from time import perf_counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riskcal.cli as cli
 from riskcal import ConditionalUtility, default_probes, two_period_eval, validate
 from riskcal.cli import build_parser, main
 from riskcal.io import (
@@ -726,3 +733,121 @@ def test_cli_header_keeps_defaults_of_flags_not_taken(command, capsys):
     doc = parse_report(out)
     assert (doc["seed"], doc["tolerance"]) == (1729, 1e-9)
     assert doc["probes"] == (50 if command == "demo" else 200)
+
+
+# -------------------------------------------- file errors and probe counts
+
+def _file_error_argv(command, case, tmp_path):
+    """(argv, the path its one stderr line must name) for one unreadable
+    input or unwritable --out."""
+    missing = str(tmp_path / "missing.json")
+    space, es = data("space_4.json"), data("utility_es_half.json")
+    extra = ["--probes", "5"] if command == "tc-check" else []
+    argv, path = {
+        "missing_space": (["--space", missing, "--utility", es], missing),
+        "space_is_directory": (["--space", str(tmp_path), "--utility", es], str(tmp_path)),
+        "missing_utility": (["--space", space, "--utility", missing], missing),
+        "unwritable_out": (["--space", space, "--utility", es, "--out", str(tmp_path / "no_dir" / "r.json")],
+                           str(tmp_path / "no_dir" / "r.json")),
+    }[case]
+    return [command, *argv, *extra], path
+
+
+@pytest.mark.parametrize("case", ["missing_space", "space_is_directory", "missing_utility", "unwritable_out"])
+@pytest.mark.parametrize("command", ["validate", "tc-check"])
+def test_cli_file_errors_exit_two_naming_the_path(command, case, tmp_path, capsys):
+    # tc-check's exit 1 means "gap found", so a crash must not read as one
+    argv, path = _file_error_argv(command, case, tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid_n", [["--grid-n", "2"], []], ids=["grid-n-2", "default"])
+def test_cli_lift_on_a_block_longer_than_the_recursion_limit(grid_n, tmp_path, capsys):
+    flat = tmp_path / "flat_1030.json"
+    flat.write_text(json.dumps({"masses": [[1, 1030]] * 1030, "f1_blocks": [list(range(1030))]}))
+    code, out, err = run_cli(
+        ["lift", "--space", str(flat), "--utility", data("utility_es_half.json"),
+         "--f", ",".join(["1"] * 1030), "--g", ",".join(["0"] * 1030), *grid_n],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert parse_report(out)["grid_n"] == (2 if grid_n else 1030)
+
+
+@pytest.mark.parametrize("command", ["eval", "tc-check", "cone-check", "demo"])
+@pytest.mark.parametrize("flag", ["--probes", "--seed"])
+def test_cli_rejects_negative_probes_and_seed(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_contract_base(command) + [flag, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert f"argument {flag}: must be an integer >= 0, got '-1'" in captured.err
+
+
+def test_cli_probes_zero_audits_the_crafted_ladder_alone(capsys):
+    code, out, _ = run_cli(_contract_base("tc-check")[:-2] + ["--probes", "0"], capsys)
+    doc = parse_report(out)
+    assert code == 1 and doc["probes"] == 0 and len(doc["per_vector"]) == 1
+
+
+# ------------------------------------------------------------ shared parser
+
+# valid commands, removed flags, bad --tol and --probes, --help, an unknown
+# command and demo with no exhibit
+PARSER_POOL = [
+    _contract_base("validate"),
+    _contract_base("eval")[:-1] + ["3"],
+    _contract_base("tc-check")[:-1] + ["3"],
+    _contract_base("lift") + ["--format", "csv"],
+    _contract_base("cone-check")[:-1] + ["5"],
+    ["demo", "multiperiod"],
+    _contract_base("validate") + ["--probes", "7"],
+    _contract_base("lift") + ["--tol", "0.5"],
+    _contract_base("tc-check") + ["--tol", "nan"],
+    _contract_base("tc-check") + ["--tol", "-1"],
+    _contract_base("eval") + ["--probes", "-2"],
+    ["--help"],
+    ["lift", "--help"],
+    ["demo", "multiperiod", "--help"],
+    ["frobnicate"],
+    ["demo"],
+    [],
+]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(PARSER_POOL), min_size=1, max_size=6))
+def test_shared_parser_reports_as_a_fresh_parser_per_call(argvs):
+    shared = [_run_in_process(argv) for argv in argvs]
+    with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = [_run_in_process(argv) for argv in argvs]
+    assert shared == fresh
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "riskcal":  # the root; subcommand parsers are "riskcal <name>"
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (_contract_base("validate"), _contract_base("lift"), _contract_base("validate")):
+        assert run_cli(argv, capsys)[0] == 0
+    assert len(built) <= 1

@@ -317,6 +317,58 @@ def test_split_exists_on_an_empty_block():
     assert _split_exists([], 3) and _equal_split([], 3) is not None
 
 
+def _recursive_equal_split(masses, n):
+    """_equal_split as one recursive call per position: the reference for its
+    explicit-stack search, which must return the same groups."""
+    total = sum(masses, Fraction(0))
+    target = total / n
+    if any(m > target for m in masses):
+        return None
+    groups = [[] for _ in range(n)]
+    sums = [Fraction(0)] * n
+
+    def place(pos):
+        if pos == len(masses):
+            return all(s == target for s in sums)
+        m = masses[pos]
+        tried = set()
+        for g in range(n):
+            if sums[g] + m > target:
+                continue
+            if sums[g] in tried:
+                continue
+            tried.add(sums[g])
+            sums[g] += m
+            groups[g].append(pos)
+            if place(pos + 1):
+                return True
+            sums[g] -= m
+            groups[g].pop()
+        return False
+
+    return groups if place(0) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_masses)
+def test_equal_split_matches_recursive_reference(masses):
+    for n in range(1, len(masses) + 2):
+        assert _equal_split(masses, n) == _recursive_equal_split(masses, n)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_equal_split_matches_recursive_reference_on_ramps(k):
+    # masses proportional to 1..k: the most backtracking among the shipped shapes
+    ramp = [Fraction(i, k * (k + 1) // 2) for i in range(1, k + 1)]
+    for n in range(1, k + 2):
+        assert _equal_split(ramp, n) == _recursive_equal_split(ramp, n)
+
+
+def test_equal_split_of_a_block_longer_than_the_recursion_limit():
+    flat = [Fraction(1, 1030)] * 1030
+    assert _equal_split(flat, 2) == [list(range(515)), list(range(515, 1030))]
+
+
 # ------------------------------------------------ prescribed-mass event sets
 
 def test_set_with_conditional_mass_on_grid():

@@ -13,7 +13,11 @@ outputs is empty, and a differing line names the command that changed.
 The list covers every command on the 4 shipped spaces with the 6 shipped
 utilities in text and csv, `lift` at several `--grid-n`, both demos, and
 generated spaces: invalid ones (an F1 block naming outcome 99 or -1) and
-one block of 1030 equal masses.
+one block of 1030 equal masses. After those come the refusals: argparse
+usage errors and `--help` on every command, inputs that cannot be read and
+an `--out` that cannot be written, and negative `--probes` and `--seed`.
+Help and usage text wraps at the terminal width, so the battery runs at
+COLUMNS=80.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ GENERATED = {
     "flat_1030.json": {"masses": [[1, 1030]] * 1030, "f1_blocks": [list(range(1030))]},
 }
 FORMATS = [[], ["--format", "csv"]]
+DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
 
 def _payoffs(space_file: str) -> tuple[str, str]:
@@ -82,6 +87,42 @@ def commands() -> list[list[str]]:
         cmds += [["demo", exhibit, *fmt] for fmt in FORMATS]
     for space in GENERATED:
         cmds += [["validate", "--space", space, *fmt] for fmt in FORMATS]
+    return cmds + refusals()
+
+
+def refusals() -> list[list[str]]:
+    """Commands that are refused or fail on their inputs, and `--help`."""
+    base = ["--space", "space_4.json", "--utility", "utility_es_half.json"]
+    probed = [["eval", *base], ["tc-check", *base], ["cone-check", *base], ["demo", "incompatibility"]]
+    cmds = [[], ["frobnicate"], ["demo"], ["demo", "frobnicate"], ["--help"]]
+    cmds += [[*cmd, "--help"] for cmd in (["validate"], ["eval"], ["lift"], ["tc-check"], ["cone-check"],
+                                          ["demo"], ["demo", "incompatibility"], ["demo", "multiperiod"])]
+    cmds += [
+        ["validate", "--space", "space_4.json", "--probes", "7"],
+        ["lift", *base, "--f", "1,1,0,0", "--g", "0,0,1,1", "--tol", "0.5"],
+        ["lift", *base, "--f", "1,1,0,0"],
+        ["eval", "--space", "space_4.json"],
+        ["demo", "multiperiod", "--seed", "3"],
+        ["eval", *base, "--probes", "many"],
+        ["validate", "--space", "space_4.json", "--format", "xml"],
+    ]
+    cmds += [["tc-check", *base, "--tol", tol] for tol in ("nan", "-1", "inf", "x")]
+    for cmd in probed:
+        cmds += [[*cmd, flag, "-1"] for flag in ("--probes", "--seed")]
+    cmds += [["tc-check", *base, "--probes", "0"], ["demo", "incompatibility", "--probes", "0"]]
+    for command in ("validate", "tc-check"):
+        extra = ["--probes", "5"] if command == "tc-check" else []
+        cmds += [
+            [command, "--space", "missing.json", "--utility", "utility_es_half.json", *extra],
+            [command, "--space", DIRECTORY, "--utility", "utility_es_half.json", *extra],
+            [command, "--space", "space_4.json", "--utility", "missing.json", *extra],
+            [command, "--space", "space_4.json", "--utility", DIRECTORY, *extra],
+            [command, *base, *extra, "--out", "no_such_dir/r.json"],
+            [command, *base, *extra, "--out", DIRECTORY],
+        ]
+    ones, zeros = ",".join(["1.0"] * 1030), ",".join(["0.0"] * 1030)
+    cmds.append(["lift", "--space", "flat_1030.json", "--utility", "utility_es_half.json",
+                 "--f", ones, "--g", zeros, "--grid-n", "2"])
     return cmds
 
 
@@ -107,6 +148,8 @@ def main() -> int:
         for name, doc in GENERATED.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+        os.mkdir(os.path.join(work, DIRECTORY))
+        os.environ["COLUMNS"] = "80"
         here = os.getcwd()
         os.chdir(work)
         try:
