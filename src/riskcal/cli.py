@@ -16,9 +16,10 @@ schema or input errors, a negative --probes or --seed, and an input file
 that cannot be read or an --out that cannot be written (one stderr line
 naming the path); 1 when tc-check finds a gap above tolerance; 0 otherwise.
 
-main() parses with one parser per process, built at its first call, so a
-caller that runs many commands in one process builds it once; a one-shot
-`riskcal` process builds it once either way.
+Each command computes and returns (fields, rows, columns, exit status);
+main alone renders it: the header plus `fields` as text, or `rows` under
+`columns` as CSV, to stdout or --out. main parses with one parser per
+process, built at its first call.
 
 Importing this module does not load numpy: eval, tc-check, cone-check and
 demo incompatibility import it at their first probe draw, and the other
@@ -50,6 +51,7 @@ from .io import (
 )
 from .lift import GeometryPoint, additivity_probe, geometry_xyl, lift_pair
 from .space import (
+    Filtration,
     OutcomeSpace,
     Partition,
     RandomVariable,
@@ -57,9 +59,12 @@ from .space import (
     conditional_resolution,
     validate,
 )
-from .utility import CoherentUtility, DistortionFunction, ScenarioSet
+from .utility import CoherentUtility, DistortionFunction, ScenarioSet, product_grid_rows
 
 TOL = 1e-9
+
+# a command's (text report fields beside the header, CSV rows, CSV columns, exit status)
+Report = tuple[dict, list[dict], list[str], int]
 
 
 @functools.cache
@@ -148,10 +153,15 @@ def _load_space(args: argparse.Namespace):
     return space, filtration
 
 
-def _load_utility(args: argparse.Namespace, space: OutcomeSpace) -> CoherentUtility:
+def _load_utility(args: argparse.Namespace, space: OutcomeSpace, filtration: Filtration) -> CoherentUtility:
+    """The utility, checked against the space as eval needs it. lift, tc-check and
+    cone-check build a ConditionalUtility instead, which refuses a product
+    utility first and checks scenario lengths itself."""
     u = load_utility_file(args.utility)
     if u.kind == "scenario":
         ScenarioSet.of(u.scenarios.measures, space)  # raises if a measure's length is not space.size
+    elif u.kind == "product":
+        product_grid_rows(u.k_alpha, u.k_x, space, filtration)  # raises if the space is not that grid
     return u
 
 
@@ -167,47 +177,37 @@ def _parse_vector(text: str, size: int, name: str) -> RandomVariable:
     return RandomVariable.of(vals)
 
 
-def _run_validate(args: argparse.Namespace) -> tuple[str, int]:
+def _run_validate(args: argparse.Namespace) -> Report:
     space, filtration = load_space_file(args.space)
     report = validate(space, filtration)
-    doc = _header(args)
-    doc["ok"] = report.ok
-    doc["violations"] = list(report.violations)
-    doc["outcomes"] = space.size
-    doc["f1_blocks"] = [list(b) for b in filtration.f1.blocks]
-    # the resolution reads masses through the F1 blocks, so only a valid space has one
-    doc["conditional_resolution"] = conditional_resolution(space, filtration) if report.ok else 0
+    fields = {
+        "ok": report.ok,
+        "violations": list(report.violations),
+        "outcomes": space.size,
+        "f1_blocks": [list(b) for b in filtration.f1.blocks],
+        # the resolution reads masses through the F1 blocks, so only a valid space has one
+        "conditional_resolution": conditional_resolution(space, filtration) if report.ok else 0,
+    }
     if args.utility:
-        doc["utility"] = _load_utility(args, space).describe()
-    code = 0 if report.ok else 2
-    if args.fmt == "csv":
-        rows = [{"index": i, "violation": v} for i, v in enumerate(report.violations)]
-        return emit_report_csv(rows, ["index", "violation"]), code
-    return emit_report_text(doc), code
+        fields["utility"] = _load_utility(args, space, filtration).describe()
+    rows = [{"index": i, "violation": v} for i, v in enumerate(report.violations)]
+    return fields, rows, ["index", "violation"], 0 if report.ok else 2
 
 
-def _run_eval(args: argparse.Namespace) -> tuple[str, int]:
+def _run_eval(args: argparse.Namespace) -> Report:
     space, filtration = _load_space(args)
-    u = _load_utility(args, space)
+    u = _load_utility(args, space, filtration)
     probes = default_probes(space, args.probes, args.seed, nonnegative=(u.kind == "product"))
-    rows = [
-        {"input_id": pid, "variant": u.describe(), "value": u.evaluate(x, space, filtration)}
-        for pid, x in enumerate(probes)
-    ]
-    if args.fmt == "csv":
-        return emit_report_csv(rows, ["input_id", "variant", "value"]), 0
-    doc = _header(args)
-    doc["variant"] = u.describe()
-    doc["values"] = [r["value"] for r in rows]
-    doc["max"] = max(r["value"] for r in rows)
-    doc["min"] = min(r["value"] for r in rows)
-    return emit_report_text(doc), 0
+    variant = u.describe()
+    values = [u.evaluate(x, space, filtration) for x in probes]
+    rows = [{"input_id": pid, "variant": variant, "value": v} for pid, v in enumerate(values)]
+    fields = {"variant": variant, "values": values, "max": max(values), "min": min(values)}
+    return fields, rows, ["input_id", "variant", "value"], 0
 
 
-def _run_lift(args: argparse.Namespace) -> tuple[str, int]:
+def _run_lift(args: argparse.Namespace) -> Report:
     space, filtration = _load_space(args)
-    u = _load_utility(args, space)
-    cu = ConditionalUtility(u, space, filtration)
+    cu = ConditionalUtility(load_utility_file(args.utility), space, filtration)
     grid = build_uniform_grid(space, filtration, args.grid_n)
     f = _parse_vector(args.f_values, space.size, "f")
     g = _parse_vector(args.g_values, space.size, "g")
@@ -215,89 +215,75 @@ def _run_lift(args: argparse.Namespace) -> tuple[str, int]:
         raise SchemaError("f and g must be constant on every F1 block", field="f")
     pair, diag = lift_pair(cu, grid, f, g)
 
-    blocks = filtration.f1.blocks
-    geo_rows = []
-    for bi, block in enumerate(blocks):
+    rows = []
+    for bi, block in enumerate(filtration.f1.blocks):
         i = block[0]
-        row = {
+        x_pt = y_pt = GeometryPoint(0.0, 0.0)  # f = g = 0 when m = 0
+        if pair.m > 0:
+            x_pt, y_pt, _ = geometry_xyl(GeometryPoint(f.values[i], g.values[i]), pair.m)
+        rows.append({
             "block": bi,
             "f": f.values[i],
             "g": g.values[i],
+            "x_x": x_pt.x, "x_y": x_pt.y, "y_x": y_pt.x, "y_y": y_pt.y,
             "lambda_target": pair.lambda_target.values[i],
             "lambda_achieved": pair.lambda_achieved.values[i],
-        }
-        if pair.m > 0:
-            x_pt, y_pt, _ = geometry_xyl(GeometryPoint(f.values[i], g.values[i]), pair.m)
-            row.update({"x_x": x_pt.x, "x_y": x_pt.y, "y_x": y_pt.x, "y_y": y_pt.y})
-        else:
-            row.update({"x_x": 0.0, "x_y": 0.0, "y_x": 0.0, "y_y": 0.0})
-        geo_rows.append(row)
-    if args.fmt == "csv":
-        cols = ["block", "f", "g", "x_x", "x_y", "y_x", "y_y", "lambda_target", "lambda_achieved"]
-        return emit_report_csv(geo_rows, cols), 0
-    doc = _header(args)
-    doc["m"] = pair.m
-    doc["grid_n"] = grid.resolution
-    doc["xi"] = list(pair.xi.values)
-    doc["eta"] = list(pair.eta.values)
-    doc["b_indices"] = list(pair.b.indices())
-    doc["geometry"] = geo_rows
-    doc["diagnostics"] = {
-        "err_f": list(diag.err_f),
-        "err_g": list(diag.err_g),
-        "err_sum": list(diag.err_sum),
-        "snap_error": diag.snap_error,
-        "resolution_used": diag.resolution_used,
+        })
+    fields = {
+        "m": pair.m,
+        "grid_n": grid.resolution,
+        "xi": list(pair.xi.values),
+        "eta": list(pair.eta.values),
+        "b_indices": list(pair.b.indices()),
+        "geometry": rows,
+        "diagnostics": {
+            "err_f": list(diag.err_f),
+            "err_g": list(diag.err_g),
+            "err_sum": list(diag.err_sum),
+            "snap_error": diag.snap_error,
+            "resolution_used": diag.resolution_used,
+        },
     }
-    return emit_report_text(doc), 0
+    columns = ["block", "f", "g", "x_x", "x_y", "y_x", "y_y", "lambda_target", "lambda_achieved"]
+    return fields, rows, columns, 0
 
 
-def _run_tc_check(args: argparse.Namespace) -> tuple[str, int]:
+def _run_tc_check(args: argparse.Namespace) -> Report:
     space, filtration = _load_space(args)
-    u = _load_utility(args, space)
-    cu = ConditionalUtility(u, space, filtration)
+    cu = ConditionalUtility(load_utility_file(args.utility), space, filtration)
     report = tc_gap(cu, default_probes(space, args.probes, args.seed))
     code = 1 if report.max_gap > args.tol else 0
-    if args.fmt == "csv":
-        rows = [
-            {"probe_id": pid, "direct": d, "recomposed": r, "gap": gap}
-            for pid, d, r, gap in report.per_vector
-        ]
-        return emit_report_csv(rows, ["probe_id", "direct", "recomposed", "gap"]), code
-    doc = _header(args)
-    doc["max_gap"] = report.max_gap
-    doc["witness"] = list(report.witness.values)
-    doc["consistent"] = code == 0
-    doc["per_vector"] = [
-        {"probe_id": pid, "direct": d, "recomposed": r, "gap": gap}
-        for pid, d, r, gap in report.per_vector
-    ]
-    return emit_report_text(doc), code
+    rows = [{"probe_id": pid, "direct": d, "recomposed": r, "gap": gap} for pid, d, r, gap in report.per_vector]
+    fields = {
+        "max_gap": report.max_gap,
+        "witness": list(report.witness.values),
+        "consistent": code == 0,
+        "per_vector": rows,
+    }
+    return fields, rows, ["probe_id", "direct", "recomposed", "gap"], code
 
 
-def _run_cone_check(args: argparse.Namespace) -> tuple[str, int]:
+def _run_cone_check(args: argparse.Namespace) -> Report:
     space, filtration = _load_space(args)
-    u = _load_utility(args, space)
-    cu = ConditionalUtility(u, space, filtration)
+    cu = ConditionalUtility(load_utility_file(args.utility), space, filtration)
     report = tc_gap(cu, default_probes(space, args.probes, args.seed), check_cones=True)
     rows = [{"probe_id": pid, "feasible": ok} for pid, ok in report.cone_verdicts]
-    if args.fmt == "csv":
-        return emit_report_csv(rows, ["probe_id", "feasible"]), 0
-    doc = _header(args)
-    doc["acceptable_probes"] = len(rows)
-    doc["feasible_count"] = sum(1 for r in rows if r["feasible"])
-    doc["verdicts"] = rows
-    doc["max_gap"] = report.max_gap
-    return emit_report_text(doc), 0
+    fields = {
+        "acceptable_probes": len(rows),
+        "feasible_count": sum(1 for r in rows if r["feasible"]),
+        "verdicts": rows,
+        "max_gap": report.max_gap,
+    }
+    return fields, rows, ["probe_id", "feasible"], 0
 
 
-def _demo_incompatibility(args: argparse.Namespace) -> tuple[str, int]:
+def _demo_incompatibility(args: argparse.Namespace) -> Report:
     space4, filt4 = load_space_file(packaged_data_path("space_4.json"))
     es_half = CoherentUtility.from_distortion(DistortionFunction.es((1, 2)))
     cu4 = ConditionalUtility(es_half, space4, filt4)
     probes = default_probes(space4, args.probes, args.seed)
     tc = tc_gap(cu4, probes)
-    crafted_row = tc.per_vector[0]  # the ladder probe is always first
+    crafted_gap = tc.per_vector[0][3]  # the ladder probe is always first
 
     space12, filt12 = load_space_file(packaged_data_path("space_12.json"))
     cu12 = ConditionalUtility(es_half, space12, filt12)
@@ -308,13 +294,12 @@ def _demo_incompatibility(args: argparse.Namespace) -> tuple[str, int]:
 
     space_p, filt_p = load_space_file(packaged_data_path("space_product_64.json"))
     u_prod = load_utility_file(packaged_data_path("utility_product_8x8.json"))
-    k_alpha = u_prod.k_alpha
     import numpy as np  # here, so that commands which draw no probes never load numpy
 
     rng = np.random.default_rng(args.seed)
     max_err = 0.0
     for _ in range(20):
-        row_vals = rng.uniform(0.0, 1.0, size=k_alpha)
+        row_vals = rng.uniform(0.0, 1.0, size=u_prod.k_alpha)
         x = RandomVariable.from_block_values(row_vals, filt_p.f1, space_p.size)
         mean = sum(float(m) * v for m, v in zip(space_p.mass, x.values))
         max_err = max(max_err, abs(u_prod.evaluate(x, space_p, filt_p) - mean))
@@ -327,44 +312,43 @@ def _demo_incompatibility(args: argparse.Namespace) -> tuple[str, int]:
     mean_nl = sum(float(m) * v for m, v in zip(space_p.mass, x_nl.values))
     gap_nl = abs(u_prod.evaluate(x_nl, space_p, filt_p) - mean_nl)
 
-    doc = _header(args)
-    doc["inputs"] = {
-        "space": "packaged space_4.json / space_12.json / space_product_64.json",
-        "utility": "es(1/2) and packaged utility_product_8x8.json",
+    fields = {
+        "inputs": {
+            "space": "packaged space_4.json / space_12.json / space_product_64.json",
+            "utility": "es(1/2) and packaged utility_product_8x8.json",
+        },
+        "tc_gap_exhibit": {
+            "max_gap": tc.max_gap,
+            "crafted_probe": list(probes[0].values),
+            "crafted_gap": crafted_gap,
+            "witness": list(tc.witness.values),
+        },
+        "additivity_exhibit": {
+            "a_value": probe.a_value,
+            "u01_f": probe.u01_f,
+            "u01_g": probe.u01_g,
+            "u01_fg": probe.u01_fg,
+            "snap_error": probe.snap_error,
+        },
+        "product_linearity": {
+            "grid": f"{u_prod.k_alpha}x{u_prod.k_x}",
+            "flat_max_error": max_err,
+            "flat_tolerance": 2.0 / u_prod.k_alpha,
+            "nonflat_gap": gap_nl,
+        },
     }
-    doc["tc_gap_exhibit"] = {
-        "max_gap": tc.max_gap,
-        "crafted_probe": list(probes[0].values),
-        "crafted_gap": crafted_row[3],
-        "witness": list(tc.witness.values),
-    }
-    doc["additivity_exhibit"] = {
-        "a_value": probe.a_value,
-        "u01_f": probe.u01_f,
-        "u01_g": probe.u01_g,
-        "u01_fg": probe.u01_fg,
-        "snap_error": probe.snap_error,
-    }
-    doc["product_linearity"] = {
-        "grid": f"{u_prod.k_alpha}x{u_prod.k_x}",
-        "flat_max_error": max_err,
-        "flat_tolerance": 2.0 / k_alpha,
-        "nonflat_gap": gap_nl,
-    }
-    if args.fmt == "csv":
-        rows = [
-            {"exhibit": "tc_gap", "metric": "max_gap", "value": tc.max_gap},
-            {"exhibit": "tc_gap", "metric": "crafted_gap", "value": crafted_row[3]},
-            {"exhibit": "additivity", "metric": "a_value", "value": probe.a_value},
-            {"exhibit": "additivity", "metric": "snap_error", "value": probe.snap_error},
-            {"exhibit": "product_linearity", "metric": "flat_max_error", "value": max_err},
-            {"exhibit": "product_linearity", "metric": "nonflat_gap", "value": gap_nl},
-        ]
-        return emit_report_csv(rows, ["exhibit", "metric", "value"]), 0
-    return emit_report_text(doc), 0
+    rows = [
+        {"exhibit": "tc_gap", "metric": "max_gap", "value": tc.max_gap},
+        {"exhibit": "tc_gap", "metric": "crafted_gap", "value": crafted_gap},
+        {"exhibit": "additivity", "metric": "a_value", "value": probe.a_value},
+        {"exhibit": "additivity", "metric": "snap_error", "value": probe.snap_error},
+        {"exhibit": "product_linearity", "metric": "flat_max_error", "value": max_err},
+        {"exhibit": "product_linearity", "metric": "nonflat_gap", "value": gap_nl},
+    ]
+    return fields, rows, ["exhibit", "metric", "value"], 0
 
 
-def _demo_multiperiod(args: argparse.Namespace) -> tuple[str, int]:
+def _demo_multiperiod(args: argparse.Namespace) -> Report:
     space, filtration = load_space_file(packaged_data_path("space_8.json"))
     base = CoherentUtility.from_distortion(DistortionFunction.es((1, 2)))
     p1 = filtration.f1
@@ -377,28 +361,28 @@ def _demo_multiperiod(args: argparse.Namespace) -> tuple[str, int]:
     y1, _ = blockwise_eval(base, space, p1, y2)
     v1 = base.evaluate(y1, space)
 
-    doc = _header(args)
-    doc["inputs"] = {"space": "packaged space_8.json", "utility": "es(1/2)"}
-    doc["probe"] = list(x.values)
-    doc["levels"] = [
+    rows = [
         {"stage": "direct", "value": direct, "gap_from_previous": 0.0},
         {"stage": "collapse_level2", "value": v2, "gap_from_previous": abs(direct - v2)},
         {"stage": "collapse_level1", "value": v1, "gap_from_previous": abs(v2 - v1)},
     ]
-    doc["total_gap"] = abs(direct - v1)
-    if args.fmt == "csv":
-        rows = [
-            {"stage": lvl["stage"], "value": lvl["value"], "gap_from_previous": lvl["gap_from_previous"]}
-            for lvl in doc["levels"]
-        ]
-        return emit_report_csv(rows, ["stage", "value", "gap_from_previous"]), 0
-    return emit_report_text(doc), 0
+    fields = {
+        "inputs": {"space": "packaged space_8.json", "utility": "es(1/2)"},
+        "probe": list(x.values),
+        "levels": rows,
+        "total_gap": abs(direct - v1),
+    }
+    return fields, rows, ["stage", "value", "gap_from_previous"], 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text, code = args.handler(args)
+        fields, rows, columns, code = args.handler(args)
+        if args.fmt == "csv":
+            text = emit_report_csv(rows, columns)
+        else:  # a non-finite value raises here: NaN and Infinity are not JSON
+            text = emit_report_text({**_header(args), **fields})
     except ValueError as e:  # SchemaError included
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -14,7 +14,8 @@ A utility file wraps one utility description:
     {"utility": {"kind": "scenario", "measures": [[[1, 8], ...], ...]}}
     {"utility": {"kind": "product", "k_alpha": 8, "k_x": 8}}
 
-Scenario measure entries may be [num, den] pairs or plain numbers. Schema
+Scenario measure entries may be [num, den] pairs or plain numbers; JSON
+true and false are never numbers. Schema
 violations raise SchemaError carrying the offending field (and the line for
 JSON syntax errors), which the CLI turns into exit status 2.
 
@@ -71,12 +72,17 @@ def _load_json(text: str):
         raise SchemaError(f"not valid JSON: {e.msg}", line=e.lineno) from e
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of `kinds`; JSON true and false load as bools, which Python counts as ints."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _rational(value, field: str) -> Fraction:
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v, int) for v in value):
         if value[1] == 0:
             raise SchemaError("zero denominator", field=field)
         return Fraction(value[0], value[1])
-    if isinstance(value, int):
+    if _is_number(value, int):
         return Fraction(value)
     raise SchemaError(f"expected [num, den] pair, got {value!r}", field=field)
 
@@ -105,7 +111,7 @@ def parse_space(text: str) -> tuple[OutcomeSpace, Filtration]:
     if not isinstance(blocks_raw, list) or not blocks_raw:
         raise SchemaError("must be a nonempty list of index lists", field="f1_blocks")
     for j, b in enumerate(blocks_raw):
-        if not isinstance(b, list) or not b or not all(isinstance(i, int) for i in b):
+        if not isinstance(b, list) or not b or not all(_is_number(i, int) for i in b):
             raise SchemaError("block must be a nonempty list of integers", field=f"f1_blocks[{j}]")
     filtration = Filtration.two_period(space, blocks_raw)
     return space, filtration
@@ -128,13 +134,16 @@ def parse_utility(text: str) -> CoherentUtility:
             )
         if kind == "power":
             a = u.get("alpha")
-            if not isinstance(a, (int, float)):
+            if not _is_number(a):
                 raise SchemaError("power alpha must be a number", field="utility.alpha")
             return CoherentUtility.from_distortion(DistortionFunction.power(float(a)))
         if kind == "piecewise":
             knots = u.get("knots")
             if not isinstance(knots, list):
                 raise SchemaError("piecewise needs a knots list", field="utility.knots")
+            for ki, knot in enumerate(knots):
+                if not (isinstance(knot, list) and len(knot) == 2 and all(_is_number(v) for v in knot)):
+                    raise SchemaError("knot must be a [p, psi(p)] pair of numbers", field=f"utility.knots[{ki}]")
             return CoherentUtility.from_distortion(DistortionFunction.piecewise(knots))
         if kind == "scenario":
             measures = u.get("measures")
@@ -145,18 +154,18 @@ def parse_utility(text: str) -> CoherentUtility:
                 if not isinstance(q, list):
                     raise SchemaError("measure must be a list", field=f"utility.measures[{qi}]")
                 rows.append([
-                    _rational(v, field=f"utility.measures[{qi}][{vi}]") if isinstance(v, list) else v
+                    v if _is_number(v) else _rational(v, field=f"utility.measures[{qi}][{vi}]")
                     for vi, v in enumerate(q)
                 ])
             return CoherentUtility.from_scenarios(ScenarioSet.of(rows))
         if kind == "product":
             ka, kx = u.get("k_alpha"), u.get("k_x")
-            if not isinstance(ka, int) or not isinstance(kx, int):
+            if not _is_number(ka, int) or not _is_number(kx, int):
                 raise SchemaError("product needs integer k_alpha and k_x", field="utility.k_alpha")
             return CoherentUtility.product_example(ka, kx)
     except SchemaError:
         raise
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an integer beyond float range
         raise SchemaError(str(e), field="utility") from e
     raise SchemaError(f"unknown utility kind {kind!r}", field="utility.kind")
 

@@ -43,9 +43,9 @@ class GeometryPoint:
     x: float
     y: float
 
-    def in_w(self, m: float, tol: float = W_TOL) -> bool:
-        """Inside the admissible wedge: x <= m and y >= -m."""
-        return self.x <= m + tol and self.y >= -m - tol
+    def in_w(self, m: float) -> bool:
+        """Inside the admissible wedge: x <= m and y >= -m, to W_TOL."""
+        return self.x <= m + W_TOL and self.y >= -m - W_TOL
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,8 @@ class OutcomeSpace:
     mass: tuple[Fraction, ...]
 
     @classmethod
-    def uniform(cls, n: int, labels: Sequence[str] | None = None) -> "OutcomeSpace":
-        if labels is None:
-            labels = tuple(f"w{i}" for i in range(n))
-        return cls(tuple(labels), tuple(Fraction(1, n) for _ in range(n)))
+    def uniform(cls, n: int) -> "OutcomeSpace":
+        return cls(tuple(f"w{i}" for i in range(n)), tuple(Fraction(1, n) for _ in range(n)))
 
     @classmethod
     def from_masses(cls, masses: Iterable, labels: Sequence[str] | None = None) -> "OutcomeSpace":
@@ -146,9 +144,6 @@ class RandomVariable:
                 vals[i] = float(bv)
         return cls(tuple(vals))
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __add__(self, other):
         if isinstance(other, RandomVariable):
             return RandomVariable(tuple(a + b for a, b in zip(self.values, other.values)))
@@ -172,12 +167,12 @@ class RandomVariable:
     def sup_norm(self) -> float:
         return max((abs(v) for v in self.values), default=0.0)
 
-    def is_measurable(self, partition: Partition, tol: float = 0.0) -> bool:
-        """Constant on every block of `partition` (exact by default)."""
+    def is_measurable(self, partition: Partition) -> bool:
+        """Constant on every block of `partition`, exactly."""
         for block in partition.blocks:
             ref = self.values[block[0]]
             for i in block[1:]:
-                if abs(self.values[i] - ref) > tol:
+                if abs(self.values[i] - ref) > 0.0:
                     return False
         return True
 
@@ -217,13 +212,14 @@ class UniformGrid:
 
     resolution: int
     ranks: tuple[int, ...]
-    u_values: RandomVariable
-    level_sets: tuple[EventSet, ...]  # B_{k/n}, k = 1..n
+
+    @property
+    def u_values(self) -> RandomVariable:
+        return RandomVariable(tuple(r / self.resolution for r in self.ranks))
 
     def level_set(self, k: int) -> EventSet:
-        if k == 0:
-            return EventSet.empty(len(self.ranks))
-        return self.level_sets[k - 1]
+        """B_{k/n}, k = 0..n."""
+        return EventSet(tuple(r <= k for r in self.ranks))
 
     def u_partition(self) -> Partition:
         """Partition by U-value, i.e. the atoms of sigma(U)."""
@@ -458,9 +454,7 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
                 for pos in positions:
                     ranks[block[pos]] = rank0 + 1
 
-    u = RandomVariable(tuple(r / n for r in ranks))
-    levels = tuple(EventSet(tuple(r <= k for r in ranks)) for k in range(1, n + 1))
-    return UniformGrid(resolution=n, ranks=tuple(ranks), u_values=u, level_sets=levels)
+    return UniformGrid(resolution=n, ranks=tuple(ranks))
 
 
 def set_with_conditional_mass(

@@ -41,6 +41,7 @@ __all__ = [
     "core_vertex",
     "core_extreme_points",
     "product_example_eval",
+    "product_grid_rows",
     "is_commonotone_pair",
     "relevance_check",
 ]
@@ -151,7 +152,7 @@ class ScenarioSet:
     def of(cls, measures, space: OutcomeSpace | None = None) -> "ScenarioSet":
         rows = []
         for idx, q in enumerate(measures):
-            row = tuple(Fraction(v[0], v[1]) if isinstance(v, (tuple, list)) else v for v in q)
+            row = tuple(q)
             if not all(isinstance(v, (Fraction, int)) or math.isfinite(v) for v in row):
                 raise ValueError(f"measure {idx} has a non-finite entry")
             total = sum(row)
@@ -305,6 +306,25 @@ def core_extreme_points(psi: DistortionFunction, space: OutcomeSpace, cap: int =
     return ScenarioSet(tuple(sorted(seen)))
 
 
+def product_grid_rows(
+    k_alpha: int, k_x: int, space: OutcomeSpace, filtration: Filtration | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of the uniform (k_alpha x k_x) grid `space`: its F1 blocks, or
+    contiguous index ranges without a filtration; ValueError if it is not one."""
+    n = k_alpha * k_x
+    if space.size != n:
+        raise ValueError(f"product grid mismatch: {space.size} outcomes, expected {k_alpha}x{k_x}={n}")
+    cell = Fraction(1, n)
+    if any(m != cell for m in space.mass):
+        raise ValueError("product grid mismatch: masses must be uniform")
+    if filtration is None:
+        return tuple(tuple(range(r * k_x, (r + 1) * k_x)) for r in range(k_alpha))
+    rows = filtration.f1.blocks
+    if len(rows) != k_alpha or any(len(b) != k_x for b in rows):
+        raise ValueError(f"product grid mismatch: F1 must have {k_alpha} blocks of {k_x} outcomes")
+    return rows
+
+
 def product_example_eval(
     x: RandomVariable,
     k_alpha: int,
@@ -319,18 +339,7 @@ def product_example_eval(
     the midpoint rule with uniform weights. Defined for nonnegative payoffs
     only.
     """
-    n = k_alpha * k_x
-    if space.size != n:
-        raise ValueError(f"product grid mismatch: {space.size} outcomes, expected {k_alpha}x{k_x}={n}")
-    cell = Fraction(1, n)
-    if any(m != cell for m in space.mass):
-        raise ValueError("product grid mismatch: masses must be uniform")
-    if filtration is None:
-        rows: tuple[tuple[int, ...], ...] = tuple(tuple(range(r * k_x, (r + 1) * k_x)) for r in range(k_alpha))
-    else:
-        rows = filtration.f1.blocks
-        if len(rows) != k_alpha or any(len(b) != k_x for b in rows):
-            raise ValueError(f"product grid mismatch: F1 must have {k_alpha} blocks of {k_x} outcomes")
+    rows = product_grid_rows(k_alpha, k_x, space, filtration)
     if any(v < 0 for v in x.values):
         raise ValueError("example defined for ξ ≥ 0")
     row_space = OutcomeSpace.uniform(k_x)

@@ -851,3 +851,121 @@ def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
     for argv in (_contract_base("validate"), _contract_base("lift"), _contract_base("validate")):
         assert run_cli(argv, capsys)[0] == 0
     assert len(built) <= 1
+
+
+# ------------------------------------------------------ malformed input files
+
+MALFORMED_UTILITIES = {
+    "knots_not_pairs": {"kind": "piecewise", "knots": [0, 1]},
+    "knot_null": {"kind": "piecewise", "knots": [None]},
+    "knot_coordinate_null": {"kind": "piecewise", "knots": [[0, 0], [1, None]]},
+    "scenario_entry_string": {"kind": "scenario", "measures": [["a", 0.5, 0.25, 0.25]]},
+    "scenario_entry_null": {"kind": "scenario", "measures": [[None, 0.5, 0.25, 0.25]]},
+    "scenario_entry_object": {"kind": "scenario", "measures": [[{}, 0.5, 0.25, 0.25]]},
+    "scenario_entries_boolean": {"kind": "scenario", "measures": [[True, False, False, False]]},
+    "power_alpha_boolean": {"kind": "power", "alpha": True},
+    "power_alpha_beyond_float": {"kind": "power", "alpha": 10 ** 400},
+    "product_size_boolean": {"kind": "product", "k_alpha": True, "k_x": 4},
+}
+MALFORMED_SPACES = {
+    "mass_boolean": {"masses": [True], "f1_blocks": [[0]]},
+    "mass_pair_boolean": {"masses": [[True, 1]], "f1_blocks": [[0]]},
+    "block_index_boolean": {"masses": [1], "f1_blocks": [[False]]},
+}
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_UTILITIES))
+@pytest.mark.parametrize("command", [["validate"], ["tc-check", "--probes", "5"]], ids=["validate", "tc-check"])
+def test_cli_malformed_utility_exits_two(command, case, tmp_path, capsys):
+    # tc-check's exit 1 means "gap found", so a malformed file must not crash into it
+    bad = tmp_path / "utility.json"
+    bad.write_text(json.dumps({"utility": MALFORMED_UTILITIES[case]}))
+    code, out, err = run_cli([*command, "--space", data("space_4.json"), "--utility", str(bad)], capsys)
+    _assert_input_error(code, out, err)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
+def test_cli_malformed_space_exits_two(case, tmp_path, capsys):
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps(MALFORMED_SPACES[case]))
+    _assert_input_error(*run_cli(["validate", "--space", str(bad)], capsys))
+
+
+_LEAF = st.none() | st.booleans() | st.integers() | st.integers(-1, 4) | st.floats() | st.text(max_size=2)
+_JSON = st.recursive(
+    _LEAF,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=10,
+)
+# numbers, pairs, vectors and matrices, with wrong leaves among the right ones
+_FIELD = _LEAF | st.lists(_LEAF | st.lists(_LEAF, max_size=3), max_size=5) | _JSON
+_UTILITY_KEYS = ("alpha", "knots", "measures", "k_alpha", "k_x")
+
+
+@pytest.mark.parametrize("kind", [None, "expectation", "es", "power", "piecewise", "scenario", "product"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_utility_returns_or_raises_a_value_error(kind, data):
+    # kind None: any JSON document; otherwise a utility of that kind with arbitrary fields
+    doc = data.draw(_JSON if kind is None else st.fixed_dictionaries(
+        {"utility": st.fixed_dictionaries({"kind": st.just(kind), **{key: _FIELD for key in _UTILITY_KEYS}})}
+    ))
+    try:
+        parse_utility(json.dumps(doc))
+    except ValueError:  # SchemaError included
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | st.fixed_dictionaries({"masses": _FIELD, "f1_blocks": _FIELD}, optional={"labels": _FIELD}))
+def test_parse_space_returns_or_raises_a_value_error(doc):
+    try:
+        parse_space(json.dumps(doc))
+    except ValueError:  # SchemaError included
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("space", ["space_4.json", "space_8.json"])
+def test_cli_validate_checks_product_utility_against_space(space, fmt, capsys):
+    # the same refusal eval gives on this pair
+    argv = ["--space", data(space), "--utility", data("utility_product_8x8.json")]
+    expected = ["eval", *argv, "--probes", "3"]
+    _, _, eval_err = run_cli(expected, capsys)
+    code, out, err = run_cli(["validate", *argv, "--format", fmt], capsys)
+    _assert_input_error(code, out, err)
+    assert err == eval_err and "product grid mismatch" in err
+    code, out, _ = run_cli(
+        ["validate", "--space", data("space_product_64.json"), "--utility", data("utility_product_8x8.json")],
+        capsys,
+    )
+    assert code == 0 and parse_report(out)["utility"] == "product(8x8)"
+
+
+# ------------------------------------------------------------ lift edge cases
+
+def test_cli_lift_zero_payoffs_give_zero_geometry(capsys):
+    argv = ["lift", "--space", data("space_8.json"), "--utility", data("utility_es_half.json"),
+            "--f", ",".join(["0"] * 8), "--g", ",".join(["0"] * 8)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    doc = parse_report(out)
+    assert doc["m"] == 0.0
+    assert [[r[k] for k in ("x_x", "x_y", "y_x", "y_y")] for r in doc["geometry"]] == [[0.0] * 4] * 2
+    code, out, err = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    rows = parse_report_csv(out)
+    assert len(rows) == 2
+    assert all(r[k] == "0.0" for r in rows for k in ("f", "g", "x_x", "x_y", "y_x", "y_y"))
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_lift_rejects_a_grid_resolution_below_one(n, capsys):
+    code, out, err = run_cli(_contract_base("lift") + ["--grid-n", n], capsys)
+    _assert_input_error(code, out, err)
+    assert f"resolution n must be positive, got {n}" in err

@@ -16,6 +16,9 @@ generated spaces: invalid ones (an F1 block naming outcome 99 or -1) and
 one block of 1030 equal masses. After those come the refusals: argparse
 usage errors and `--help` on every command, inputs that cannot be read and
 an `--out` that cannot be written, and negative `--probes` and `--seed`.
+Last come generated utility and space files that are malformed (knots
+that are not pairs, scenario entries that are not numbers, booleans where
+numbers belong), `lift` on all-zero payoffs and `lift --grid-n 0`.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80.
 """
@@ -48,6 +51,19 @@ GENERATED = {
     "bad_index_99.json": {"masses": [[1, 4]] * 4, "f1_blocks": [[0, 1], [2, 99]]},
     "bad_index_minus_1.json": {"masses": [[1, 4]] * 4, "f1_blocks": [[0, 1], [2, -1]]},
     "flat_1030.json": {"masses": [[1, 1030]] * 1030, "f1_blocks": [list(range(1030))]},
+}
+MALFORMED = {
+    "utility_knots_not_pairs.json": {"utility": {"kind": "piecewise", "knots": [0, 1]}},
+    "utility_knot_null.json": {"utility": {"kind": "piecewise", "knots": [None]}},
+    "utility_knot_coordinate_null.json": {"utility": {"kind": "piecewise", "knots": [[0, 0], [1, None]]}},
+    "utility_scenario_string.json": {"utility": {"kind": "scenario", "measures": [["a", 0.5, 0.25, 0.25]]}},
+    "utility_scenario_null.json": {"utility": {"kind": "scenario", "measures": [[None, 0.5, 0.25, 0.25]]}},
+    "utility_scenario_object.json": {"utility": {"kind": "scenario", "measures": [[{}, 0.5, 0.25, 0.25]]}},
+    "utility_scenario_boolean.json": {"utility": {"kind": "scenario", "measures": [[True, False, False, False]]}},
+    "utility_power_boolean.json": {"utility": {"kind": "power", "alpha": True}},
+    "utility_product_boolean.json": {"utility": {"kind": "product", "k_alpha": True, "k_x": 4}},
+    "space_mass_boolean.json": {"masses": [True], "f1_blocks": [[0]]},
+    "space_block_index_boolean.json": {"masses": [1], "f1_blocks": [[False]]},
 }
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
@@ -123,6 +139,22 @@ def refusals() -> list[list[str]]:
     ones, zeros = ",".join(["1.0"] * 1030), ",".join(["0.0"] * 1030)
     cmds.append(["lift", "--space", "flat_1030.json", "--utility", "utility_es_half.json",
                  "--f", ones, "--g", zeros, "--grid-n", "2"])
+    return cmds + malformed()
+
+
+def malformed() -> list[list[str]]:
+    """Malformed input files, and `lift` at the edges of its payoffs and grid."""
+    cmds = []
+    for name in MALFORMED:
+        if name.startswith("space_"):
+            cmds.append(["validate", "--space", name])
+        else:
+            cmds += [["validate", "--space", "space_4.json", "--utility", name],
+                     ["tc-check", "--space", "space_4.json", "--utility", name, "--probes", "5"]]
+    lift = ["lift", "--space", "space_8.json", "--utility", "utility_es_half.json"]
+    zeros = ",".join(["0"] * 8)
+    cmds += [[*lift, "--f", zeros, "--g", zeros, *fmt] for fmt in FORMATS]
+    cmds.append([*lift, "--f", "1,1,1,1,0,0,0,0", "--g", zeros, "--grid-n", "0"])
     return cmds
 
 
@@ -145,7 +177,7 @@ def main() -> int:
         for name in SPACES + UTILITIES:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
-        for name, doc in GENERATED.items():
+        for name, doc in {**GENERATED, **MALFORMED}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
