@@ -49,7 +49,7 @@ from .io import (
     load_utility_file,
     packaged_data_path,
 )
-from .lift import GeometryPoint, additivity_probe, geometry_xyl, lift_pair
+from .lift import additivity_probe, lift_pair
 from .space import (
     Filtration,
     OutcomeSpace,
@@ -188,8 +188,9 @@ def _run_validate(args: argparse.Namespace) -> Report:
         # the resolution reads masses through the F1 blocks, so only a valid space has one
         "conditional_resolution": conditional_resolution(space, filtration) if report.ok else 0,
     }
-    if args.utility:
-        fields["utility"] = _load_utility(args, space, filtration).describe()
+    if args.utility:  # fit is checked on a valid space only, so an invalid one still lists its violations
+        u = _load_utility(args, space, filtration) if report.ok else load_utility_file(args.utility)
+        fields["utility"] = u.describe()
     rows = [{"index": i, "violation": v} for i, v in enumerate(report.violations)]
     return fields, rows, ["index", "violation"], 0 if report.ok else 2
 
@@ -208,19 +209,16 @@ def _run_eval(args: argparse.Namespace) -> Report:
 def _run_lift(args: argparse.Namespace) -> Report:
     space, filtration = _load_space(args)
     cu = ConditionalUtility(load_utility_file(args.utility), space, filtration)
-    grid = build_uniform_grid(space, filtration, args.grid_n)
     f = _parse_vector(args.f_values, space.size, "f")
     g = _parse_vector(args.g_values, space.size, "g")
     if not f.is_measurable(filtration.f1) or not g.is_measurable(filtration.f1):
         raise SchemaError("f and g must be constant on every F1 block", field="f")
+    grid = build_uniform_grid(space, filtration, args.grid_n)  # after the cheap checks: it may search
     pair, diag = lift_pair(cu, grid, f, g)
 
     rows = []
-    for bi, block in enumerate(filtration.f1.blocks):
+    for bi, (block, (x_pt, y_pt)) in enumerate(zip(filtration.f1.blocks, pair.boundary)):
         i = block[0]
-        x_pt = y_pt = GeometryPoint(0.0, 0.0)  # f = g = 0 when m = 0
-        if pair.m > 0:
-            x_pt, y_pt, _ = geometry_xyl(GeometryPoint(f.values[i], g.values[i]), pair.m)
         rows.append({
             "block": bi,
             "f": f.values[i],

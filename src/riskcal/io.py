@@ -160,8 +160,9 @@ def parse_utility(text: str) -> CoherentUtility:
             return CoherentUtility.from_scenarios(ScenarioSet.of(rows))
         if kind == "product":
             ka, kx = u.get("k_alpha"), u.get("k_x")
-            if not _is_number(ka, int) or not _is_number(kx, int):
-                raise SchemaError("product needs integer k_alpha and k_x", field="utility.k_alpha")
+            for key, size in (("k_alpha", ka), ("k_x", kx)):
+                if not _is_number(size, int):
+                    raise SchemaError("product needs integer k_alpha and k_x", field=f"utility.{key}")
             return CoherentUtility.product_example(ka, kx)
     except SchemaError:
         raise

@@ -50,7 +50,8 @@ class GeometryPoint:
 
 @dataclass(frozen=True)
 class CommonotonePair:
-    """Lift output: the pair itself plus everything needed to audit it."""
+    """Lift output: the pair itself plus everything needed to audit it; `boundary`
+    holds each F1 block's (X, Y) from geometry_xyl, both the origin when m = 0."""
 
     xi: RandomVariable
     eta: RandomVariable
@@ -58,6 +59,7 @@ class CommonotonePair:
     lambda_target: RandomVariable
     lambda_achieved: RandomVariable
     m: float
+    boundary: tuple[tuple[GeometryPoint, GeometryPoint], ...]
 
 
 @dataclass(frozen=True)
@@ -175,31 +177,22 @@ def lift_pair(
     n_blocks = len(f1.blocks)
     if m == 0.0:
         zero = RandomVariable.constant(0.0, size)
-        pair = CommonotonePair(zero, zero, EventSet.empty(size), zero, zero, 0.0)
+        boundary = ((GeometryPoint(0.0, 0.0),) * 2,) * n_blocks
+        pair = CommonotonePair(zero, zero, EventSet.empty(size), zero, zero, 0.0, boundary)
         zeros = (0.0,) * n_blocks
         return pair, LiftDiagnostics(zeros, zeros, zeros, 0.0, grid.resolution)
 
-    lam_t = [0.0] * size
-    bx = {}
-    by = {}
-    for bi, block in enumerate(f1.blocks):
-        p = GeometryPoint(f.values[block[0]], g.values[block[0]])
-        big_x, big_y, lam = geometry_xyl(p, m)
-        bx[bi], by[bi] = big_x, big_y
-        for i in block:
-            lam_t[i] = lam
-    lambda_target = RandomVariable(tuple(lam_t))
+    xyl = [geometry_xyl(GeometryPoint(f.values[block[0]], g.values[block[0]]), m) for block in f1.blocks]
+    boundary = tuple((big_x, big_y) for big_x, big_y, _ in xyl)
+    lambda_target = RandomVariable.from_block_values([lam for _, _, lam in xyl], f1, size)
     b, lambda_achieved = find_b(cu, grid, lambda_target)
 
     xi = [0.0] * size
     eta = [0.0] * size
-    for bi, block in enumerate(f1.blocks):
-        big_x, big_y = bx[bi], by[bi]
+    for block, (big_x, big_y) in zip(f1.blocks, boundary):
         for i in block:
-            if b.member[i]:
-                xi[i], eta[i] = big_y.x, big_y.y
-            else:
-                xi[i], eta[i] = big_x.x, big_x.y
+            point = big_y if b.member[i] else big_x
+            xi[i], eta[i] = point.x, point.y
     pair = CommonotonePair(
         xi=RandomVariable(tuple(xi)),
         eta=RandomVariable(tuple(eta)),
@@ -207,6 +200,7 @@ def lift_pair(
         lambda_target=lambda_target,
         lambda_achieved=lambda_achieved,
         m=m,
+        boundary=boundary,
     )
 
     u_xi = conditional_eval(cu, pair.xi)

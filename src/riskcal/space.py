@@ -414,46 +414,44 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     """Split each F1 block into n equal-conditional-mass groups; U = group rank / n.
 
     Requires conditional_resolution >= n with n dividing it; n=None uses the
-    conditional resolution itself. Every block is first checked with the
-    existence search _split_exists, the first that fails naming itself in
-    the error; the ranks then come from the canonical-order backtracking of
-    _equal_split on the block's conditional masses, run once per distinct
-    conditional-mass sequence, so outputs are reproducible.
+    conditional resolution itself. If n divides a nonzero resolution res,
+    every block splits n ways (merge res/n consecutive groups of its res-way
+    split), so _split_exists searches the blocks only on refusal, to name
+    the first that fails. The ranks come from the canonical-order
+    backtracking of _equal_split, run once per distinct conditional law of
+    a block, so outputs are reproducible.
     """
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
-    size = space.size
-    ranks = [0] * size
     if n == 1:
-        ranks = [1] * size
-    else:
-        res = conditional_resolution(space, filtration)
-        if n is None:
-            if res == 0:
-                raise ResolutionUnavailableError(
-                    "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
-                )
-            n = res
-        blocks = filtration.f1.blocks
+        return UniformGrid(resolution=1, ranks=(1,) * space.size)
+    blocks = filtration.f1.blocks
+    res = conditional_resolution(space, filtration)
+    if n is None:
+        if res == 0:
+            raise ResolutionUnavailableError(
+                "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
+            )
+        n = res
+    elif res == 0 or res % n:
         for j, block in enumerate(blocks):
             if not _split_exists([space.mass[i] for i in block], n):
                 raise ResolutionUnavailableError(
                     f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                     f"{n}-way equal-conditional-mass split"
                 )
-        if res % n != 0:  # every block splits n ways, so n <= res
-            raise ResolutionUnavailableError(
-                f"resolution unavailable: n={n} does not divide conditional resolution {res}"
-            )
-        splits: dict[tuple[Fraction, ...], list[list[int]]] = {}
-        for block in blocks:
-            law = space.given(block).mass
-            if law not in splits:
-                splits[law] = _equal_split(law, n)
-            for rank0, positions in enumerate(splits[law]):
-                for pos in positions:
-                    ranks[block[pos]] = rank0 + 1
-
+        raise ResolutionUnavailableError(
+            f"resolution unavailable: n={n} does not divide conditional resolution {res}"
+        )
+    ranks = [0] * space.size
+    splits: dict[tuple[Fraction, ...], list[list[int]]] = {}
+    for block in blocks:
+        law = space.given(block).mass
+        if law not in splits:
+            splits[law] = _equal_split(law, n)
+        for rank0, positions in enumerate(splits[law]):
+            for pos in positions:
+                ranks[block[pos]] = rank0 + 1
     return UniformGrid(resolution=n, ranks=tuple(ranks))
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskcal.cli as cli
+import riskcal.lift
 from riskcal import ConditionalUtility, default_probes, two_period_eval, validate
 from riskcal.cli import build_parser, main
 from riskcal.io import (
@@ -139,6 +140,18 @@ def test_parse_utility_missing_pieces():
     with pytest.raises(SchemaError) as ei:
         parse_utility('{"utility": {"kind": "product", "k_alpha": 2.5, "k_x": 4}}')
     assert ei.value.field == "utility.k_alpha"
+
+
+@pytest.mark.parametrize("sizes,field", [
+    ({"k_alpha": 8, "k_x": True}, "utility.k_x"),
+    ({"k_alpha": 8, "k_x": 2.5}, "utility.k_x"),
+    ({"k_alpha": 8}, "utility.k_x"),
+    ({"k_alpha": "8", "k_x": True}, "utility.k_alpha"),
+])
+def test_parse_utility_names_the_bad_product_size(sizes, field):
+    with pytest.raises(SchemaError, match="product needs integer k_alpha and k_x") as ei:
+        parse_utility(json.dumps({"utility": {"kind": "product", **sizes}}))
+    assert ei.value.field == field
 
 
 def test_parse_utility_wraps_construction_errors():
@@ -947,6 +960,38 @@ def test_cli_validate_checks_product_utility_against_space(space, fmt, capsys):
     assert code == 0 and parse_report(out)["utility"] == "product(8x8)"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("utility,described", [
+    ("utility_product_8x8.json", "product(8x8)"),
+    ("utility_scenario.json", "scenario[3]"),
+])
+def test_cli_validate_lists_an_invalid_space_beside_its_utility(utility, described, fmt, tmp_path, capsys):
+    # neither utility fits 4 outcomes, but the space's own violations come first
+    bad = tmp_path / "bad_index_99.json"
+    bad.write_text(json.dumps({"masses": [[1, 4]] * 4, "f1_blocks": [[0, 1], [2, 99]]}))
+    code, out, err = run_cli(
+        ["validate", "--space", str(bad), "--utility", data(utility), "--format", fmt], capsys
+    )
+    assert code == 2 and err == ""
+    violation = "f1 block 1 references outcome 99 outside 0..3"
+    if fmt == "csv":
+        assert {"index": "0", "violation": violation} in parse_report_csv(out)
+    else:
+        doc = parse_report(out)
+        assert doc["ok"] is False and violation in doc["violations"]
+        assert doc["utility"] == described
+
+
+def test_cli_validate_refuses_a_malformed_utility_beside_an_invalid_space(tmp_path, capsys):
+    bad = tmp_path / "bad_index_99.json"
+    bad.write_text(json.dumps({"masses": [[1, 4]] * 4, "f1_blocks": [[0, 1], [2, 99]]}))
+    utility = tmp_path / "utility.json"
+    utility.write_text(json.dumps({"utility": {"kind": "product", "k_alpha": 8, "k_x": True}}))
+    code, out, err = run_cli(["validate", "--space", str(bad), "--utility", str(utility)], capsys)
+    _assert_input_error(code, out, err)
+    assert "field 'utility.k_x'" in err
+
+
 # ------------------------------------------------------------ lift edge cases
 
 def test_cli_lift_zero_payoffs_give_zero_geometry(capsys):
@@ -969,3 +1014,42 @@ def test_cli_lift_rejects_a_grid_resolution_below_one(n, capsys):
     code, out, err = run_cli(_contract_base("lift") + ["--grid-n", n], capsys)
     _assert_input_error(code, out, err)
     assert f"resolution n must be positive, got {n}" in err
+
+
+def test_cli_lift_checks_the_payoffs_before_the_grid(capsys):
+    # space_12 has no 5-way grid; the malformed --f is the refusal
+    code, out, err = run_cli(
+        ["lift", "--space", data("space_12.json"), "--utility", data("utility_es_half.json"),
+         "--grid-n", "5", "--f=oops", "--g=" + ",".join(["0"] * 12)],
+        capsys,
+    )
+    _assert_input_error(code, out, err)
+    assert "--f must be comma-separated numbers" in err
+
+
+@pytest.mark.parametrize("f,g,message", [
+    ("oops", "0,0,0,0,0,0,0,0", "--f must be comma-separated numbers"),
+    ("1,1,1,1,0,0,0,0", "0,0,0", "--g has 3 entries for 8 outcomes"),
+    ("1,0,1,0,1,0,1,0", "0,0,0,0,0,0,0,0", "f and g must be constant on every F1 block"),
+])
+def test_cli_lift_refuses_bad_payoffs_without_building_the_grid(f, g, message, capsys):
+    with mock.patch.object(cli, "build_uniform_grid", side_effect=AssertionError("grid built")):
+        code, out, err = run_cli(
+            ["lift", "--space", data("space_8.json"), "--utility", data("utility_es_half.json"),
+             "--f", f, "--g", g],
+            capsys,
+        )
+    _assert_input_error(code, out, err)
+    assert message in err
+
+
+def test_cli_lift_places_each_block_on_the_boundary_once(capsys):
+    assert not hasattr(cli, "geometry_xyl")
+    with mock.patch.object(riskcal.lift, "geometry_xyl", wraps=riskcal.lift.geometry_xyl) as spy:
+        code, out, _ = run_cli(
+            ["lift", "--space", data("space_12.json"), "--utility", data("utility_es_half.json"),
+             "--f", ",".join(["1"] * 6 + ["0"] * 6), "--g", ",".join(["0"] * 6 + ["1"] * 6)],
+            capsys,
+        )
+    assert code == 0 and spy.call_count == 2
+    assert [r["y_x"] for r in parse_report(out)["geometry"]] == [1.0, 1.0]

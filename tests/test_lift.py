@@ -1,5 +1,7 @@
 """Geometry, grid inversion, and the commonotone lift contracts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from riskcal import (
     is_commonotone_pair,
     lift_pair,
 )
+import riskcal.lift
 
 SPACE8 = OutcomeSpace.uniform(8)
 FILT8 = Filtration.two_period(SPACE8, [[0, 1, 2, 3], [4, 5, 6, 7]])
@@ -235,6 +238,24 @@ def test_lift_random_suite_invariants():
                 assert abs(u_xi.values[i] - f.values[i]) <= d * diag.snap_error + 1e-9
                 assert abs(u_eta.values[i] - g.values[i]) <= d * diag.snap_error + 1e-9
                 assert diag.err_f[bi] == pytest.approx(abs(u_xi.values[i] - f.values[i]), abs=1e-12)
+
+
+def test_lift_returns_the_boundary_points_it_computed():
+    f = RandomVariable.from_block_values([0.75, -0.25], FILT8.f1, 8)
+    g = RandomVariable.from_block_values([-0.5, 1.0], FILT8.f1, 8)
+    with mock.patch.object(riskcal.lift, "geometry_xyl", wraps=geometry_xyl) as spy:
+        pair, _ = lift_pair(CU8_ES, GRID8, f, g)
+    assert spy.call_count == len(FILT8.f1.blocks)
+    want = [geometry_xyl(GeometryPoint(f.values[b[0]], g.values[b[0]]), pair.m) for b in FILT8.f1.blocks]
+    assert pair.boundary == tuple((x_pt, y_pt) for x_pt, y_pt, _ in want)
+    assert pair.lambda_target == RandomVariable.from_block_values([lam for *_, lam in want], FILT8.f1, 8)
+
+
+def test_lift_of_zero_payoffs_puts_every_boundary_point_at_the_origin():
+    zero = RandomVariable.constant(0.0, 8)
+    pair, _ = lift_pair(CU8_ES, GRID8, zero, zero)
+    assert pair.m == 0.0
+    assert pair.boundary == ((GeometryPoint(0.0, 0.0), GeometryPoint(0.0, 0.0)),) * 2
 
 
 # ---------------------------------------------------------- additivity probe

@@ -13,6 +13,7 @@ from riskcal import (
     Partition,
     RandomVariable,
     ResolutionUnavailableError,
+    UniformGrid,
     build_uniform_grid,
     conditional_expectation,
     conditional_resolution,
@@ -21,6 +22,7 @@ from riskcal import (
     set_with_conditional_mass,
     validate,
 )
+import riskcal.space
 from riskcal.space import _equal_split, _split_exists
 
 
@@ -315,6 +317,76 @@ def test_resolution_and_grid_match_canonical_path(case):
 def test_split_exists_on_an_empty_block():
     # validate reports an empty block, but build_uniform_grid can still be handed one
     assert _split_exists([], 3) and _equal_split([], 3) is not None
+
+
+def _three_phase_grid(space, filt, n=None):
+    """build_uniform_grid's earlier control flow, the reference for its
+    refusal-only block search: every block checked by _split_exists, then
+    the divisibility, then the canonical ranks."""
+    if n is not None and n < 1:
+        raise ValueError(f"resolution n must be positive, got {n}")
+    if n == 1:
+        return UniformGrid(resolution=1, ranks=(1,) * space.size)
+    res = conditional_resolution(space, filt)
+    if n is None:
+        if res == 0:
+            raise ResolutionUnavailableError(
+                "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
+            )
+        n = res
+    for j, block in enumerate(filt.f1.blocks):
+        if not _split_exists([space.mass[i] for i in block], n):
+            raise ResolutionUnavailableError(
+                f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
+                f"{n}-way equal-conditional-mass split"
+            )
+    if res % n != 0:
+        raise ResolutionUnavailableError(
+            f"resolution unavailable: n={n} does not divide conditional resolution {res}"
+        )
+    ranks = [0] * space.size
+    for block in filt.f1.blocks:
+        for rank0, positions in enumerate(_equal_split(space.given(block).mass, n)):
+            for pos in positions:
+                ranks[block[pos]] = rank0 + 1
+    return UniformGrid(resolution=n, ranks=tuple(ranks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filtered_spaces().filter(lambda case: all(len(b) <= 8 for b in case[1].f1.blocks)))
+def test_grid_matches_three_phase_reference(case):
+    space, filt = case
+    for n in [None, *range(1, 10)]:
+        try:
+            want = _three_phase_grid(space, filt, n)
+        except ResolutionUnavailableError as e:
+            with pytest.raises(ResolutionUnavailableError) as exc:
+                build_uniform_grid(space, filt, n)
+            assert str(exc.value) == str(e)
+        else:
+            assert build_uniform_grid(space, filt, n) == want
+
+
+def test_grid_of_resolution_one_on_a_space_of_resolution_zero():
+    # singleton blocks split no common n >= 2 ways, but every block splits one way
+    space, filt = uniform_filtered(3, [[0], [1], [2]])
+    assert conditional_resolution(space, filt) == 0
+    assert build_uniform_grid(space, filt, 1) == UniformGrid(resolution=1, ranks=(1, 1, 1))
+
+
+def test_grid_searches_the_blocks_only_to_name_a_refusal(monkeypatch):
+    calls = []
+    search = riskcal.space._split_exists
+    monkeypatch.setattr(riskcal.space, "_split_exists", lambda masses, n: calls.append(n) or search(masses, n))
+    # the resolution of FILT8 is 4, decided on both blocks; 2 and 4 divide it
+    for n in (None, 2, 4):
+        calls.clear()
+        build_uniform_grid(SPACE8, FILT8, n)
+        assert calls == [4, 4]
+    calls.clear()
+    with pytest.raises(ResolutionUnavailableError, match="F1 block 0"):
+        build_uniform_grid(SPACE8, FILT8, 3)
+    assert calls == [4, 4, 3]
 
 
 def _recursive_equal_split(masses, n):

@@ -18,7 +18,10 @@ usage errors and `--help` on every command, inputs that cannot be read and
 an `--out` that cannot be written, and negative `--probes` and `--seed`.
 Last come generated utility and space files that are malformed (knots
 that are not pairs, scenario entries that are not numbers, booleans where
-numbers belong), `lift` on all-zero payoffs and `lift --grid-n 0`.
+numbers belong), `lift` on all-zero payoffs and `lift --grid-n 0`, and
+last of all commands with two faults: `validate` of an invalid space with
+a utility that does not fit it, and `lift` with a malformed `--f` on a
+grid the space cannot give. That makes 357 commands.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80.
 """
@@ -155,6 +158,16 @@ def malformed() -> list[list[str]]:
     zeros = ",".join(["0"] * 8)
     cmds += [[*lift, "--f", zeros, "--g", zeros, *fmt] for fmt in FORMATS]
     cmds.append([*lift, "--f", "1,1,1,1,0,0,0,0", "--g", zeros, "--grid-n", "0"])
+    return cmds + check_order()
+
+
+def check_order() -> list[list[str]]:
+    """Commands given two faults, where the report shows which is checked first."""
+    cmds = []
+    for utility in ("utility_product_8x8.json", "utility_scenario.json"):
+        cmds += [["validate", "--space", "bad_index_99.json", "--utility", utility, *fmt] for fmt in FORMATS]
+    cmds.append(["lift", "--space", "space_12.json", "--utility", "utility_es_half.json", "--grid-n", "5",
+                 "--f=oops", "--g=" + ",".join(["0"] * 12)])
     return cmds
 
 
