@@ -34,7 +34,10 @@ import math
 import sys
 
 from .conditional import (
+    DEFAULT_PROBES,
     DEFAULT_SEED,
+    DEMO_PROBES,
+    GAP_TOL,
     ConditionalUtility,
     blockwise_eval,
     crafted_ladder,
@@ -61,8 +64,6 @@ from .space import (
 )
 from .utility import CoherentUtility, DistortionFunction, ScenarioSet, product_grid_rows
 
-TOL = 1e-9
-
 # a command's (text report fields beside the header, CSV rows, CSV columns, exit status)
 Report = tuple[dict, list[dict], list[str], int]
 
@@ -78,38 +79,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="riskcal", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, files=("space", "utility"), probes=None, tol=False, parent=sub):
-        """Add subcommand `name` to `parent`, run by `handler(args)`; `probes` is
-        the default of its --probes flag, which comes with --seed."""
+    def command(name, handler, help, files=("space", "utility"), probes=DEFAULT_PROBES, seeded=False, tol=False,
+                parent=sub):
+        """Add subcommand `name` to `parent`, run by `handler(args)`. Its report
+        header gives `probes`; a `seeded` command takes --probes, defaulting
+        to it, and --seed."""
         sp = parent.add_parser(name, help=help)
-        # Every report header carries these; a command without the flag reports
-        # the default. An add_argument default below overrides this one.
-        sp.set_defaults(handler=handler, space=None, utility=None, probes=200, seed=DEFAULT_SEED, tol=TOL)
+        # Every report header carries these, and a flag added below takes its default from here.
+        sp.set_defaults(handler=handler, space=None, utility=None, probes=probes, seed=DEFAULT_SEED, tol=GAP_TOL)
         for f in files:
             sp.add_argument(f"--{f}", required=True, help=f"{f} file (JSON)")
-        if probes is not None:
-            sp.add_argument("--probes", type=_nonnegative_int, default=probes)
-            sp.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
+        if seeded:
+            sp.add_argument("--probes", type=_nonnegative_int)
+            sp.add_argument("--seed", type=_nonnegative_int)
         if tol:
-            sp.add_argument("--tol", type=_tolerance, default=TOL)
+            sp.add_argument("--tol", type=_tolerance)
         sp.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
         sp.add_argument("--out", default=None)
         return sp
 
     sp = command("validate", _run_validate, "check a space file's invariants", files=("space",))
     sp.add_argument("--utility", default=None, help="utility file (JSON) to describe")
-    command("eval", _run_eval, "evaluate a utility on seeded probes", probes=200)
+    command("eval", _run_eval, "evaluate a utility on seeded probes", seeded=True)
     sp = command("lift", _run_lift, "build a commonotone pair from one-period payoffs")
     sp.add_argument("--f", required=True, dest="f_values", help="comma-separated payoff per outcome")
     sp.add_argument("--g", required=True, dest="g_values", help="comma-separated payoff per outcome")
     sp.add_argument("--grid-n", type=int, default=None, dest="grid_n",
                     help="grid resolution (default: the space's conditional resolution)")
-    command("tc-check", _run_tc_check, "audit the recomposition identity", probes=200, tol=True)
-    command("cone-check", _run_cone_check, "decompose acceptable probes across periods", probes=200)
+    command("tc-check", _run_tc_check, "audit the recomposition identity", seeded=True, tol=True)
+    command("cone-check", _run_cone_check, "decompose acceptable probes across periods", seeded=True)
     demo = sub.add_parser("demo", help="run a packaged exhibit").add_subparsers(dest="exhibit", required=True)
-    command("incompatibility", _demo_incompatibility, "gap, defect, linearity", files=(), probes=50, parent=demo)
-    # multiperiod draws no probes; its header reports the demo default of 50
-    command("multiperiod", _demo_multiperiod, "stagewise collapse", files=(), parent=demo).set_defaults(probes=50)
+    exhibit = functools.partial(command, files=(), probes=DEMO_PROBES, parent=demo)
+    exhibit("incompatibility", _demo_incompatibility, "gap, defect, linearity", seeded=True)
+    exhibit("multiperiod", _demo_multiperiod, "stagewise collapse")  # draws no probes
     return p
 
 

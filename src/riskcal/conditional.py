@@ -56,9 +56,15 @@ __all__ = [
     "crafted_ladder",
     "default_probes",
     "DEFAULT_SEED",
+    "DEFAULT_PROBES",
+    "DEMO_PROBES",
+    "GAP_TOL",
 ]
 
+# the CLI's defaults for --seed, --probes and --tol, printed in every report header
 DEFAULT_SEED = 1729
+DEFAULT_PROBES = 200
+DEMO_PROBES = 50  # --probes of the demos
 GAP_TOL = 1e-9
 _EXPECTATION = CoherentUtility.from_distortion(DistortionFunction.expectation())
 
@@ -166,7 +172,7 @@ def crafted_ladder(space: OutcomeSpace) -> RandomVariable:
 
 def default_probes(
     space: OutcomeSpace,
-    count: int = 200,
+    count: int = DEFAULT_PROBES,
     seed: int = DEFAULT_SEED,
     nonnegative: bool = False,
 ) -> tuple[RandomVariable, ...]:

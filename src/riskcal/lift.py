@@ -136,7 +136,7 @@ def find_b(
     achieved = [0.0] * cu.space.size
     for block in f1.blocks:
         target = lambda_target.values[block[0]]
-        if target < -W_TOL or target > 1 + W_TOL:
+        if not -W_TOL <= target <= 1 + W_TOL:  # NaN included
             raise ValueError(f"lambda_target value {target} outside [0, 1]")
         best_k = 0
         best_err = abs(psi_table[0] - target)

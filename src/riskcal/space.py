@@ -38,10 +38,7 @@ class ResolutionUnavailableError(ValueError):
 
 
 def _as_fraction(m) -> Fraction:
-    if isinstance(m, Fraction):
-        return m
-    if isinstance(m, int):
-        return Fraction(m)
+    """An exact rational from a (num, den) pair or anything Fraction takes."""
     if isinstance(m, (tuple, list)) and len(m) == 2:
         return Fraction(int(m[0]), int(m[1]))
     return Fraction(m)
@@ -172,7 +169,7 @@ class RandomVariable:
         for block in partition.blocks:
             ref = self.values[block[0]]
             for i in block[1:]:
-                if abs(self.values[i] - ref) > 0.0:
+                if self.values[i] != ref:  # a NaN differs from every value, itself included
                     return False
         return True
 
@@ -435,7 +432,8 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
         n = res
     elif res == 0 or res % n:
         for j, block in enumerate(blocks):
-            if not _split_exists([space.mass[i] for i in block], n):
+            # an empty block caps the resolution at 0, though _split_exists passes it
+            if not block or not _split_exists([space.mass[i] for i in block], n):
                 raise ResolutionUnavailableError(
                     f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                     f"{n}-way equal-conditional-mass split"
@@ -474,7 +472,7 @@ def set_with_conditional_mass(
     snapped = False
     for block in filtration.f1.blocks:
         hv = h.values[block[0]]
-        if hv < -1e-12 or hv > 1 + 1e-12:
+        if not -1e-12 <= hv <= 1 + 1e-12:  # NaN included
             raise ValueError(f"h value {hv} outside [0, 1]")
         k_near = round(hv * n)
         if abs(hv - k_near / n) <= 1e-9:
@@ -508,7 +506,5 @@ def independence_check(a: Partition, b: Partition, space: OutcomeSpace) -> Indep
 def product_space(k_alpha: int, k_x: int) -> tuple[OutcomeSpace, Filtration]:
     """Uniform (k_alpha x k_x) product grid; F1 = row partition, rows are
     contiguous index ranges row*k_x .. row*k_x + k_x - 1."""
-    n = k_alpha * k_x
-    space = OutcomeSpace.uniform(n)
-    rows = [list(range(r * k_x, (r + 1) * k_x)) for r in range(k_alpha)]
-    return space, Filtration.two_period(space, rows)
+    space = OutcomeSpace.uniform(k_alpha * k_x)
+    return space, Filtration.two_period(space, (range(r * k_x, (r + 1) * k_x) for r in range(k_alpha)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .space import Filtration, OutcomeSpace, Partition, RandomVariable
+from .space import Filtration, OutcomeSpace, RandomVariable, _as_fraction, product_space
 
 __all__ = [
     "DistortionFunction",
@@ -105,9 +105,7 @@ class DistortionFunction:
     @classmethod
     def es(cls, alpha) -> "DistortionFunction":
         """Average over the worst alpha-tail: psi(p) = max(0, (p-(1-alpha))/alpha)."""
-        if isinstance(alpha, (tuple, list)):
-            alpha = Fraction(int(alpha[0]), int(alpha[1]))
-        return cls("es", alpha=Fraction(alpha))
+        return cls("es", alpha=_as_fraction(alpha))
 
     @classmethod
     def power(cls, alpha: float) -> "DistortionFunction":
@@ -163,6 +161,8 @@ class ScenarioSet:
                 raise ValueError(f"measure {idx} has a negative entry")
             if space is not None and len(row) != space.size:
                 raise ValueError(f"measure {idx} has {len(row)} entries for {space.size} outcomes")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(rows[0])}")
             rows.append(row)
         if not rows:
             raise ValueError("scenario set must be nonempty")
@@ -310,7 +310,7 @@ def product_grid_rows(
     k_alpha: int, k_x: int, space: OutcomeSpace, filtration: Filtration | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """The rows of the uniform (k_alpha x k_x) grid `space`: its F1 blocks, or
-    contiguous index ranges without a filtration; ValueError if it is not one."""
+    product_space's rows without a filtration; ValueError if it is not one."""
     n = k_alpha * k_x
     if space.size != n:
         raise ValueError(f"product grid mismatch: {space.size} outcomes, expected {k_alpha}x{k_x}={n}")
@@ -318,7 +318,7 @@ def product_grid_rows(
     if any(m != cell for m in space.mass):
         raise ValueError("product grid mismatch: masses must be uniform")
     if filtration is None:
-        return tuple(tuple(range(r * k_x, (r + 1) * k_x)) for r in range(k_alpha))
+        filtration = product_space(k_alpha, k_x)[1]
     rows = filtration.f1.blocks
     if len(rows) != k_alpha or any(len(b) != k_x for b in rows):
         raise ValueError(f"product grid mismatch: F1 must have {k_alpha} blocks of {k_x} outcomes")

@@ -1053,3 +1053,79 @@ def test_cli_lift_places_each_block_on_the_boundary_once(capsys):
         )
     assert code == 0 and spy.call_count == 2
     assert [r["y_x"] for r in parse_report(out)["geometry"]] == [1.0, 1.0]
+
+
+# ------------------------------------------------------------ main() fuzz
+
+@pytest.mark.parametrize("command", [["validate"], ["tc-check", "--probes", "5"]], ids=["validate", "tc-check"])
+def test_cli_refuses_ragged_scenario_measures_at_parse_time(command, tmp_path, capsys):
+    ragged = tmp_path / "utility.json"
+    ragged.write_text(json.dumps({"utility": {"kind": "scenario", "measures": [[[1, 4]] * 4, [[1, 3]] * 3]}}))
+    code, out, err = run_cli([*command, "--space", data("space_4.json"), "--utility", str(ragged)], capsys)
+    _assert_input_error(code, out, err)
+    assert err == "input error: measure 1 has 3 entries, measure 0 has 4 (field 'utility')\n"
+
+
+def _mostly(good):
+    """`good` seven times in eight, else a junk field."""
+    return st.integers(0, 7).flatmap(lambda k: _FIELD if k == 7 else good)
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """A space document of 1-6 outcomes, a utility document and F1-measurable
+    --f/--g payoffs: mostly well formed, with junk in any field."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.just([1] * n) | st.lists(st.integers(1, 4), min_size=n, max_size=n)
+                   | st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    space = {
+        "masses": draw(_mostly(st.just([[w, sum(weights) or 1] for w in weights]))),
+        "f1_blocks": draw(_mostly(st.just(blocks) | st.lists(st.lists(st.integers(-1, n), max_size=n), max_size=3))),
+    }
+    measure = st.lists(st.integers(0, 3), min_size=max(n - 1, 1), max_size=n + 1).map(
+        lambda w: [[v, sum(w) or 1] for v in w]
+    )
+    pair = st.lists(st.integers(-1, 4), min_size=2, max_size=2)
+    utility = draw(_mostly(st.one_of(
+        st.just({"kind": "expectation"}),
+        st.builds(lambda a: {"kind": "es", "alpha": a}, _mostly(pair)),
+        st.builds(lambda a: {"kind": "power", "alpha": a}, _mostly(st.floats(-0.5, 1.5))),
+        st.builds(lambda k: {"kind": "piecewise", "knots": [[0, 0], k, [1, 1]]},
+                  _mostly(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2))),
+        st.builds(lambda m: {"kind": "scenario", "measures": m}, st.lists(_mostly(measure), min_size=1, max_size=3)),
+        st.builds(lambda a, x: {"kind": "product", "k_alpha": a, "k_x": x}, st.integers(0, 3), st.integers(0, 3)),
+    )))
+    per_block = st.lists(st.floats(-3, 3), min_size=3, max_size=3)
+    f, g = draw(per_block), draw(per_block)
+    return space, {"utility": utility}, [f[b] for b in labels], [g[b] for b in labels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_documents())
+def test_main_answers_generated_documents_without_a_traceback(tmp_path_factory, case):
+    space_doc, utility_doc, f, g = case
+    work = tmp_path_factory.getbasetemp() / "main_fuzz"
+    work.mkdir(exist_ok=True)
+    space, utility = work / "space.json", work / "utility.json"
+    space.write_text(json.dumps(space_doc))
+    utility.write_text(json.dumps(utility_doc))
+    files = ["--space", str(space), "--utility", str(utility)]
+    for argv in (
+        ["validate", *files],
+        ["eval", *files, "--probes", "3"],
+        ["tc-check", *files, "--probes", "3"],
+        ["cone-check", *files, "--probes", "3"],
+        ["lift", *files, "--f=" + ",".join(map(repr, f)), "--g=" + ",".join(map(repr, g))],  # "-1e-05" is no flag
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in ((0, 1, 2) if argv[0] == "tc-check" else (0, 2)), argv
+        assert "Traceback" not in err
+        if code == 2 and (argv[0] != "validate" or err):  # validate lists a space's violations on stdout
+            _assert_input_error(code, out, err)
+        else:
+            assert err == "" and out, argv

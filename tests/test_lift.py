@@ -300,3 +300,21 @@ def test_additivity_probe_snap_error_zero_cases_match_f_side():
     if report.snap_error == 0.0:
         assert report.u_hat_xi == pytest.approx(report.u01_f, abs=1e-9)
         assert report.u_hat_eta == pytest.approx(report.u01_g, abs=1e-9)
+
+
+def test_lift_refuses_a_nan_inside_a_block():
+    space = OutcomeSpace.uniform(4)
+    filt = Filtration.two_period(space, [[0, 1], [2, 3]])
+    cu = ConditionalUtility(ES_HALF, space, filt)
+    with pytest.raises(ValueError, match="F1-measurable"):
+        lift_pair(cu, build_uniform_grid(space, filt), RandomVariable.of([1, float("nan"), 0, 0]),
+                  RandomVariable.constant(0.0, 4))
+
+
+def test_find_b_refuses_a_nan_target():
+    # singleton blocks, so the NaN block is measurable and the range test is what refuses it
+    space = OutcomeSpace.uniform(2)
+    filt = Filtration.two_period(space, [[0], [1]])
+    cu = ConditionalUtility(ES_HALF, space, filt)
+    with pytest.raises(ValueError, match=r"lambda_target value nan outside \[0, 1\]"):
+        find_b(cu, build_uniform_grid(space, filt, 1), RandomVariable.of([float("nan"), 0.5]))

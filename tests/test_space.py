@@ -525,3 +525,27 @@ def test_product_space_shape():
     assert len(filt.f1.blocks) == 3
     assert all(len(b) == 5 for b in filt.f1.blocks)
     assert validate(space, filt).ok
+
+
+def test_grid_refusal_names_an_empty_block():
+    # an empty block caps the resolution at 0; the refusal names it, not the divisibility
+    space = OutcomeSpace.uniform(2)
+    with pytest.raises(ResolutionUnavailableError, match=r"F1 block 0 \(\) admits no 2-way"):
+        build_uniform_grid(space, Filtration.two_period(space, [[], [0, 1]]), 2)
+
+
+def test_nan_is_constant_on_no_block_of_two():
+    blocks = Partition.from_blocks([[0, 1], [2, 3]])
+    nan = float("nan")
+    assert not RandomVariable.of([1, nan, 0, 0]).is_measurable(blocks)
+    assert not RandomVariable.of([nan, nan, 0, 0]).is_measurable(blocks)
+    assert RandomVariable.of([-0.0, 0.0, float("inf"), float("inf")]).is_measurable(blocks)
+    assert not RandomVariable.of([0, 0, float("inf"), float("-inf")]).is_measurable(blocks)
+
+
+def test_conditional_mass_refuses_a_nan_level():
+    space = OutcomeSpace.uniform(2)
+    filt = Filtration.two_period(space, [[0], [1]])
+    grid = UniformGrid(resolution=2, ranks=(1, 2))
+    with pytest.raises(ValueError, match=r"h value nan outside \[0, 1\]"):
+        set_with_conditional_mass(space, filt, grid, RandomVariable.of([float("nan"), 0.5]))

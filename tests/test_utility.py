@@ -401,3 +401,11 @@ def test_coherent_utility_dispatch():
     assert d.describe() == "es(1/2)"
     assert s.describe() == "scenario[1]"
     assert p.describe() == "product(2x4)"
+
+
+def test_scenario_set_refuses_ragged_measures():
+    with pytest.raises(ValueError, match="measure 1 has 3 entries, measure 0 has 2"):
+        ScenarioSet.of([[1, 0], [Fraction(1, 3)] * 3])
+    with pytest.raises(ValueError, match="measure 2 has 2 entries, measure 0 has 3"):
+        ScenarioSet.of([[1, 0, 0], [0, 1, 0], [0.5, 0.5]])
+    assert ScenarioSet.of([[1, 0], [0.5, 0.5]]).size == 2

@@ -21,7 +21,9 @@ that are not pairs, scenario entries that are not numbers, booleans where
 numbers belong), `lift` on all-zero payoffs and `lift --grid-n 0`, and
 last of all commands with two faults: `validate` of an invalid space with
 a utility that does not fit it, and `lift` with a malformed `--f` on a
-grid the space cannot give. That makes 357 commands.
+grid the space cannot give. After them come `validate` and `tc-check` of
+a scenario utility whose measures differ in length, in text and csv.
+That makes 361 commands.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80.
 """
@@ -68,6 +70,7 @@ MALFORMED = {
     "space_mass_boolean.json": {"masses": [True], "f1_blocks": [[0]]},
     "space_block_index_boolean.json": {"masses": [1], "f1_blocks": [[False]]},
 }
+RAGGED = {"utility_scenario_ragged.json": {"utility": {"kind": "scenario", "measures": [[[1, 4]] * 4, [[1, 3]] * 3]}}}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -168,7 +171,13 @@ def check_order() -> list[list[str]]:
         cmds += [["validate", "--space", "bad_index_99.json", "--utility", utility, *fmt] for fmt in FORMATS]
     cmds.append(["lift", "--space", "space_12.json", "--utility", "utility_es_half.json", "--grid-n", "5",
                  "--f=oops", "--g=" + ",".join(["0"] * 12)])
-    return cmds
+    return cmds + ragged()
+
+
+def ragged() -> list[list[str]]:
+    """A scenario utility whose measures differ in length, refused as it is parsed."""
+    base = ["--space", "space_4.json", "--utility", *RAGGED]
+    return [[*cmd, *fmt] for cmd in (["validate", *base], ["tc-check", *base, "--probes", "5"]) for fmt in FORMATS]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -190,7 +199,7 @@ def main() -> int:
         for name in SPACES + UTILITIES:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
-        for name, doc in {**GENERATED, **MALFORMED}.items():
+        for name, doc in {**GENERATED, **MALFORMED, **RAGGED}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
