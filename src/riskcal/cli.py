@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from .conditional import (
@@ -177,6 +178,17 @@ def _parse_vector(text: str, size: int, name: str) -> RandomVariable:
     if len(vals) != size:
         raise SchemaError(f"--{name} has {len(vals)} entries for {size} outcomes", field=name)
     return RandomVariable.of(vals)
+
+
+def _attach_vectors(argv: list[str]) -> list[str]:
+    """lift's argv with `--f V` and `--g V` written `--f=V` when V starts with a
+    negative number, which argparse would otherwise take for a flag."""
+    out = list(argv[:1])
+    for tok in argv[1:]:
+        if argv[0] == "lift" and out[-1] in ("--f", "--g") and re.match(r"-\.?\d", tok):
+            tok = out.pop() + "=" + tok
+        out.append(tok)
+    return out
 
 
 def _run_validate(args: argparse.Namespace) -> Report:
@@ -376,7 +388,7 @@ def _demo_multiperiod(args: argparse.Namespace) -> Report:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_vectors(sys.argv[1:] if argv is None else argv))
     try:
         fields, rows, columns, code = args.handler(args)
         if args.fmt == "csv":

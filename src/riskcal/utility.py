@@ -51,6 +51,7 @@ Scalar = Union[Fraction, float]
 # floating-point distortions (power, piecewise) are evaluated to roughly
 # 1e-12; rational kinds (expectation, es) are exact at rational arguments.
 FLOAT_PSI_TOL = 1e-12
+_ZERO = Fraction(0)  # Fractions are immutable, so every exact sum may start from this one
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class DistortionFunction:
         if self.kind == "expectation":
             return p
         if self.kind == "es":
-            q = (Fraction(p) - (1 - self.alpha)) / self.alpha
-            return q if q > 0 else Fraction(0)
+            q = ((p if isinstance(p, Fraction) else Fraction(p)) - (1 - self.alpha)) / self.alpha
+            return q if q > 0 else _ZERO
         if self.kind == "power":
             return float(p) ** (1.0 + self.alpha)
         pf = float(p)
@@ -243,13 +244,14 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
 
     Sort formula on descending values: sum of x_(k) * (psi(s_k) - psi(s_{k-1}))
     with s_k the cumulative mass of the top k outcomes. Equal values are merged
-    before psi is applied, so the result cannot depend on tie order.
+    before psi is applied, so the result cannot depend on tie order. Each mass
+    enters the merge table unchanged: a Fraction addition happens only on a tie.
     """
-    mass_at: dict[float, Fraction] = {}
+    mass_at: dict[float, Scalar] = {}
     for v, m in zip(x.values, space.mass):
-        mass_at[v] = mass_at.get(v, Fraction(0)) + m
+        mass_at[v] = mass_at[v] + m if v in mass_at else m
     total = 0.0
-    s = Fraction(0)
+    s = _ZERO
     prev = psi.psi(s)
     for v in sorted(mass_at, reverse=True):
         s += mass_at[v]
@@ -280,7 +282,7 @@ def core_vertex(psi: DistortionFunction, space: OutcomeSpace, order) -> tuple[Sc
     this core measure attains the Choquet value, the minimum of E_Q over the
     core (Shapley 1971; Schmeidler 1986).
     """
-    s = Fraction(0)
+    s = _ZERO
     prev = psi.psi(s)
     q: list[Scalar] = [0] * space.size
     for i in order:

@@ -1129,3 +1129,22 @@ def test_main_answers_generated_documents_without_a_traceback(tmp_path_factory, 
             _assert_input_error(code, out, err)
         else:
             assert err == "" and out, argv
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+@pytest.mark.parametrize("f,g", [("-1,-1,0,0", "0,0,1,1"), ("-1e-05,-1e-05,0,0", "-.5,-.5,0,0")])
+def test_cli_lift_takes_a_space_separated_vector_that_starts_negative(f, g, fmt, capsys):
+    base = ["lift", "--space", data("space_4.json"), "--utility", data("utility_es_half.json"), *fmt]
+    joined = run_cli([*base, f"--f={f}", f"--g={g}"], capsys)
+    assert joined[0] == 0 and joined[1]
+    assert run_cli([*base, "--f", f, "--g", g], capsys) == joined
+
+
+def test_cli_lift_still_refuses_a_flag_without_its_value(capsys):
+    argv = ["lift", "--space", data("space_4.json"), "--utility", data("utility_es_half.json"), "--f", "--g", "0,0,1,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --f: expected one argument" in capsys.readouterr().err
+    # only lift has --f and --g; elsewhere --f abbreviates --format and is left to argparse
+    assert cli._attach_vectors(["eval", "--f", "-1"]) == ["eval", "--f", "-1"]

@@ -18,6 +18,7 @@ from riskcal import (
     ScenarioSet,
     choquet_eval,
     core_extreme_points,
+    core_vertex,
     is_commonotone_pair,
     product_example_eval,
     product_space,
@@ -409,3 +410,78 @@ def test_scenario_set_refuses_ragged_measures():
     with pytest.raises(ValueError, match="measure 2 has 2 entries, measure 0 has 3"):
         ScenarioSet.of([[1, 0, 0], [0, 1, 0], [0.5, 0.5]])
     assert ScenarioSet.of([[1, 0], [0.5, 0.5]]).size == 2
+
+
+# ------------------------------------------- exact tie table, bit for bit
+
+def es_psi_reference(psi, p):
+    """es psi that converts every argument and returns a fresh Fraction(0) at the clip."""
+    q = (Fraction(p) - (1 - psi.alpha)) / psi.alpha
+    return q if q > 0 else Fraction(0)
+
+
+def psi_reference(psi, p):
+    return es_psi_reference(psi, p) if psi.kind == "es" else psi.psi(p)
+
+
+def choquet_reference(values, masses, psi) -> float:
+    """The grouped sort formula with every tie-table entry started at Fraction(0)."""
+    mass_at = {}
+    for v, m in zip(values, masses):
+        mass_at[v] = mass_at.get(v, Fraction(0)) + m
+    total = 0.0
+    s = Fraction(0)
+    prev = psi_reference(psi, s)
+    for v in sorted(mass_at, reverse=True):
+        s += mass_at[v]
+        cur = psi_reference(psi, s)
+        total += v * float(cur - prev)
+        prev = cur
+    return total
+
+
+def core_vertex_reference(psi, masses, order):
+    s = Fraction(0)
+    prev = psi_reference(psi, s)
+    q = [0] * len(masses)
+    for i in order:
+        s += masses[i]
+        cur = psi_reference(psi, s)
+        q[i] = cur - prev
+        prev = cur
+    return tuple(q)
+
+
+ALL_KINDS = [EXPECTATION, ES_HALF, ES_QUARTER, DistortionFunction.es((2, 3)), POWER_HALF, PIECEWISE]
+# multiples of 0.5, so ties are common; -0.0 ties with 0.0
+TIE_VALUE = st.one_of(st.integers(-3, 3).map(lambda k: k / 2), st.sampled_from([0.0, -0.0]))
+# Fractions over mixed denominators, and plain ints
+MASS = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=12), st.integers(0, 2))
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    n = draw(st.integers(1, 7))
+    values = tuple(draw(st.lists(TIE_VALUE, min_size=n, max_size=n)))
+    masses = tuple(draw(st.lists(MASS, min_size=n, max_size=n)))
+    return draw(st.sampled_from(ALL_KINDS)), values, masses, draw(st.permutations(range(n)))
+
+
+@given(tie_heavy_cases())
+def test_choquet_and_core_vertex_match_the_fraction_zero_reference_bit_for_bit(case):
+    psi, values, masses, order = case
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), masses)
+    got, want = choquet_eval(RandomVariable(values), psi, space), choquet_reference(values, masses, psi)
+    assert got == want and repr(got) == repr(want)
+    got_q, want_q = core_vertex(psi, space, order), core_vertex_reference(psi, masses, order)
+    assert got_q == want_q
+    assert [type(v) for v in got_q] == [type(v) for v in want_q]
+    assert [repr(v) for v in got_q] == [repr(v) for v in want_q]
+
+
+@pytest.mark.parametrize("p", [0.75, 0.875, 0.25, 1, 0, Fraction(3, 4), Fraction(1, 8)])
+def test_es_psi_returns_a_fraction_for_float_int_and_fraction_arguments(p):
+    for psi in (ES_HALF, ES_QUARTER):
+        got = psi.psi(p)
+        assert type(got) is Fraction
+        assert got == es_psi_reference(psi, p)

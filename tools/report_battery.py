@@ -22,8 +22,9 @@ numbers belong), `lift` on all-zero payoffs and `lift --grid-n 0`, and
 last of all commands with two faults: `validate` of an invalid space with
 a utility that does not fit it, and `lift` with a malformed `--f` on a
 grid the space cannot give. After them come `validate` and `tc-check` of
-a scenario utility whose measures differ in length, in text and csv.
-That makes 361 commands.
+a scenario utility whose measures differ in length, in text and csv, and
+last `lift` with a space-separated `--f` whose first entry is negative, in
+text and csv, and with `--f` given no value. That makes 364 commands.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80.
 """
@@ -177,7 +178,14 @@ def check_order() -> list[list[str]]:
 def ragged() -> list[list[str]]:
     """A scenario utility whose measures differ in length, refused as it is parsed."""
     base = ["--space", "space_4.json", "--utility", *RAGGED]
-    return [[*cmd, *fmt] for cmd in (["validate", *base], ["tc-check", *base, "--probes", "5"]) for fmt in FORMATS]
+    cmds = [[*cmd, *fmt] for cmd in (["validate", *base], ["tc-check", *base, "--probes", "5"]) for fmt in FORMATS]
+    return cmds + negative_vectors()
+
+
+def negative_vectors() -> list[list[str]]:
+    """`lift` with `--f V` where V starts with a minus sign, and with `--f` given no value."""
+    base = ["lift", "--space", "space_4.json", "--utility", "utility_es_half.json"]
+    return [[*base, "--f", "-1,-1,0,0", "--g", "0,0,1,1", *fmt] for fmt in FORMATS] + [[*base, "--f", "--g", "0,0,1,1"]]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
