@@ -135,6 +135,8 @@ def conditional_eval_with_flags(
     cu: ConditionalUtility, x: RandomVariable
 ) -> tuple[RandomVariable, tuple[int, ...]]:
     """conditional_eval plus the block indices where the scenario fallback fired."""
+    if len(x.values) != cu.space.size:
+        raise ValueError(f"payoff has {len(x.values)} entries for {cu.space.size} outcomes")
     out = [0.0] * cu.space.size
     fallbacks: list[int] = []
     for bi, (block, (u, law, _)) in enumerate(cu.conditioned.items()):
@@ -238,13 +240,15 @@ def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
     one sort and one pass of psi over the outcomes; the iteration also stops
     when t fails to decrease, so float noise cannot make it cycle.
     """
-    u, _, mass = cu.conditioned[tuple(block)]
+    u, law, mass = cu.conditioned[tuple(block)]
     if cu.base.kind == "scenario":
         on_block = RandomVariable(tuple(x.values[i] for i in block))
         return max(on_block.values) if u is None else scenario_min_eval(on_block, u.scenarios)[0]
 
     space = cu.space
     inside = set(block)
+    if not sum(mass):  # the block's float masses underflow to 0.0; its conditional law does not
+        mass = tuple(float(m) for m in law.mass)
     t = sum(m * x.values[i] for m, i in zip(mass, block)) / sum(mass)
     while True:
         y = [x.values[i] - t if i in inside else 0.0 for i in range(space.size)]

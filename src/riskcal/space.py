@@ -297,95 +297,78 @@ def conditional_expectation(x: RandomVariable, given: Partition, space: OutcomeS
     return RandomVariable(tuple(out))
 
 
-def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
-    """Partition positions 0..len-1 into n groups of equal mass sum, or None.
+def _place(items: Sequence, n: int, room, smallest) -> list[int] | None:
+    """Each item's group when the items fill n groups of `room` each, or None.
 
-    Deterministic: positions are assigned in order, each to the lowest-index
-    group with room; a group sum already tried for the current position is
-    skipped, since symmetric group states are equivalent. Complete
-    backtracking search, so failure means no split exists. Exact Fraction
-    arithmetic throughout, on an explicit stack, so a long block needs no
-    recursion.
+    Deterministic: items are placed in the order given, each into the
+    lowest-index group whose room fits it; a room already tried for the
+    current item is skipped, since groups of equal room are interchangeable,
+    and a branch stops when it leaves a room above 0 but below `smallest`,
+    which no item can fill. The cut prunes only branches that hold no
+    placement, so the first placement found does not depend on it. Complete
+    backtracking on an explicit stack, so None means no placement exists and
+    a long block needs no recursion. The items must sum to n * room.
     """
-    total = sum(masses, Fraction(0))
-    target = total / n
-    if any(m > target for m in masses):
-        return None
-    groups: list[list[int]] = [[] for _ in range(n)]
-    sums = [Fraction(0)] * n
-    # frame k belongs to masses[k]: its group, that group's sum before it
-    # came, and the group sums already tried for it
-    frames: list[tuple[int, Fraction, set[Fraction]]] = []
-    start, tried = 0, set()  # for masses[len(frames)]: the next group to try, the sums tried
+    rooms = [room] * n
+    placed: list[int] = []  # placed[k] is the group of items[k]
+    tried_at: list[set] = []  # tried_at[k] holds the rooms already tried for items[k]
+    start, tried = 0, set()  # for items[len(placed)]: the next group to try, the rooms tried
     while True:
-        pos = len(frames)
-        if pos == len(masses):  # every group is full, since the masses sum to n * target
-            return groups
-        m = masses[pos]
+        pos = len(placed)
+        if pos == len(items):  # every group is full, since the items sum to n * room
+            return placed
+        item = items[pos]
         for g in range(start, n):
-            before = sums[g]
-            after = before + m
-            if after > target or before in tried:
+            r = rooms[g]
+            if r < item or r in tried:
                 continue
-            tried.add(before)
-            sums[g] = after
-            groups[g].append(pos)
-            frames.append((g, before, tried))
+            tried.add(r)
+            left = r - item
+            if 0 < left < smallest:  # dead room
+                continue
+            rooms[g] = left
+            placed.append(g)
+            tried_at.append(tried)
             start, tried = 0, set()
             break
         else:
-            if not frames:
+            if not placed:
                 return None
-            g, before, tried = frames.pop()  # take masses[pos - 1] back out of group g
-            sums[g] = before
-            groups[g].pop()
+            g, tried = placed.pop(), tried_at.pop()  # take items[pos - 1] back out of group g
+            rooms[g] += items[pos - 1]
             start = g + 1
+
+
+def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
+    """Partition positions 0..len-1 into n groups of equal mass sum, or None.
+
+    The canonical split: _place on the exact Fraction masses in index order.
+    """
+    target = sum(masses, Fraction(0)) / n
+    if any(m > target for m in masses):
+        return None
+    placed = _place(masses, n, target, min(masses, default=0))
+    if placed is None:
+        return None
+    groups: list[list[int]] = [[] for _ in range(n)]
+    for pos, g in enumerate(placed):
+        groups[g].append(pos)
+    return groups
 
 
 def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
     """Whether positions 0..len-1 split into n groups of equal mass sum.
 
-    Decides existence only, not _equal_split's canonical assignment: the
-    masses become integer weights (mass * lcm of the denominators), placed
-    largest first (the ordering of complete multi-way number partitioning,
-    Korf 2009) into groups with room; a group sum already tried for the
-    current weight is skipped, and a branch stops when it leaves a group
-    with room above 0 but below the smallest weight, which nothing can fill.
-    The search is complete, so False means no split exists.
+    Decides existence only, not _equal_split's canonical assignment: _place
+    on integer weights (mass * lcm of the denominators), largest first (the
+    ordering of complete multi-way number partitioning, Korf 2009).
     """
     scale = lcm(*(m.denominator for m in masses))
     weights = sorted((int(m * scale) for m in masses), reverse=True)
     total = sum(weights)
     if total % n or max(weights, default=0) > total // n:
         return False
-    smallest = min(weights, default=0)
-    rooms = [total // n] * n
-    # frame k belongs to weights[k]: the next group to try and the rooms
-    # already tried; weights[k] sits in group frames[k][0] - 1 while frame
-    # k + 1 exists. An explicit stack, so a long block needs no recursion.
-    frames: list[tuple[int, set[int]]] = [(0, set())]
-    while frames:
-        pos = len(frames) - 1
-        if pos == len(weights):  # every group is full, since the weights sum to n * target
-            return True
-        start, tried = frames[-1]
-        w = weights[pos]
-        for g in range(start, n):
-            room = rooms[g]
-            if room < w or room in tried:
-                continue
-            tried.add(room)
-            if 0 < room - w < smallest:  # dead room
-                continue
-            rooms[g] = room - w
-            frames[-1] = (g + 1, tried)
-            frames.append((0, set()))
-            break
-        else:
-            frames.pop()
-            if frames:  # take weights[pos - 1] back out of its group
-                rooms[frames[-1][0] - 1] += weights[pos - 1]
-    return False
+    return _place(weights, n, total // n, min(weights, default=0)) is not None
 
 
 def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:

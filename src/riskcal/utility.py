@@ -247,6 +247,8 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
     before psi is applied, so the result cannot depend on tie order. Each mass
     enters the merge table unchanged: a Fraction addition happens only on a tie.
     """
+    if len(x.values) != space.size:
+        raise ValueError(f"payoff has {len(x.values)} entries for {space.size} outcomes")
     mass_at: dict[float, Scalar] = {}
     for v, m in zip(x.values, space.mass):
         mass_at[v] = mass_at[v] + m if v in mass_at else m
@@ -342,6 +344,8 @@ def product_example_eval(
     only.
     """
     rows = product_grid_rows(k_alpha, k_x, space, filtration)
+    if len(x.values) != space.size:
+        raise ValueError(f"payoff has {len(x.values)} entries for {space.size} outcomes")
     if any(v < 0 for v in x.values):
         raise ValueError("example defined for ξ ≥ 0")
     row_space = OutcomeSpace.uniform(k_x)

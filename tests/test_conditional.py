@@ -532,3 +532,29 @@ def test_conditional_utility_checks_scenario_lengths(entries):
     base = CoherentUtility.from_scenarios(ScenarioSet.of([[Fraction(1, entries)] * entries]))
     with pytest.raises(ValueError, match=f"^measure 0 has {entries} entries for 4 outcomes$"):
         ConditionalUtility(base, SPACE4, FILT4)
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3], [1, 2, 3, 4, -100]], ids=["short", "long"])
+def test_conditional_evaluation_refuses_a_payoff_of_another_length(values):
+    # a long probe lost its extra entries (tc_gap reported max_gap 0.5); a short one raised IndexError
+    x = RandomVariable.of(values)
+    message = f"^payoff has {len(values)} entries for 4 outcomes$"
+    with pytest.raises(ValueError, match=message):
+        conditional_eval_with_flags(CU4_ES, x)
+    with pytest.raises(ValueError, match=message):
+        tc_gap(CU4_ES, [x])
+
+
+def test_core_bound_on_a_block_whose_float_mass_underflows():
+    # P[{0, 3}] = 2 / 10**400 is 0.0 in float64; its conditional law (1/2, 1/2) is exact
+    t = 10**400
+    space = OutcomeSpace.from_masses([(1, t), (t - 2, 2 * t), (t - 2, 2 * t), (1, t)])
+    filt = Filtration.two_period(space, [[0, 3], [1, 2]])
+    x = RandomVariable.of([1.0, -0.5, 0.25, -1.0])
+    cu = ConditionalUtility(EXPECT, space, filt)
+    assert [core_bound(cu, x, block) for block in filt.f1.blocks] == [0.0, -0.125]
+    for psi in (DistortionFunction.es((1, 2)), DistortionFunction.power(0.5)):
+        cu = ConditionalUtility(CoherentUtility.from_distortion(psi), space, filt)
+        bound = core_bound(cu, x, (0, 3))
+        assert -1.0 <= bound <= 0.0  # between min x and E_P[x | A] on the block
+        assert cone_decompose(cu, RandomVariable.of([1.0] * 4))[0]

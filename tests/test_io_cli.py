@@ -1148,3 +1148,14 @@ def test_cli_lift_still_refuses_a_flag_without_its_value(capsys):
     assert "argument --f: expected one argument" in capsys.readouterr().err
     # only lift has --f and --g; elsewhere --f abbreviates --format and is left to argparse
     assert cli._attach_vectors(["eval", "--f", "-1"]) == ["eval", "--f", "-1"]
+
+
+@pytest.mark.parametrize("utility", ["utility_es_half.json", "utility_expectation.json", "utility_power_half.json"])
+def test_cli_cone_check_on_a_block_whose_float_mass_underflows(utility, tmp_path, capsys):
+    t = 10**400  # block [0, 3] has mass 2 / t, which is 0.0 in float64
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"masses": [[1, t], [t - 2, 2 * t], [t - 2, 2 * t], [1, t]],
+                                 "f1_blocks": [[0, 3], [1, 2]]}))
+    code, out, err = run_cli(["cone-check", "--space", str(space), "--utility", data(utility), "--probes", "3"], capsys)
+    assert code == 0 and err == ""
+    assert parse_report(out)["verdicts"]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskcal import (
@@ -292,6 +292,7 @@ def _canonical_grid_ranks(space, filt, n):
 
 @settings(max_examples=200, deadline=None)
 @given(_block_masses)
+@example([Fraction(m, 12) for m in (2, 3, 3, 2, 2)])  # in index order the dead-room cut prunes at n = 2
 def test_split_exists_matches_canonical_split(masses):
     for n in range(1, len(masses) + 2):
         assert _split_exists(masses, n) == (_equal_split(masses, n) is not None)
@@ -423,6 +424,7 @@ def _recursive_equal_split(masses, n):
 
 @settings(max_examples=200, deadline=None)
 @given(_block_masses)
+@example([Fraction(m, 12) for m in (2, 3, 3, 2, 2)])  # in index order the dead-room cut prunes at n = 2
 def test_equal_split_matches_recursive_reference(masses):
     for n in range(1, len(masses) + 2):
         assert _equal_split(masses, n) == _recursive_equal_split(masses, n)

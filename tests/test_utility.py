@@ -485,3 +485,15 @@ def test_es_psi_returns_a_fraction_for_float_int_and_fraction_arguments(p):
         got = psi.psi(p)
         assert type(got) is Fraction
         assert got == es_psi_reference(psi, p)
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3], [1, 2, 3, 4, 100]], ids=["short", "long"])
+def test_choquet_and_product_evaluation_refuse_a_payoff_of_another_length(values):
+    # zipped with the masses, a long payoff lost its extra entries and a short one its last outcomes
+    x = RandomVariable.of(values)
+    message = f"^payoff has {len(values)} entries for 4 outcomes$"
+    with pytest.raises(ValueError, match=message):
+        choquet_eval(x, ES_HALF, U4)
+    space, filt = product_space(2, 2)
+    with pytest.raises(ValueError, match=message):
+        product_example_eval(x, 2, 2, space, filt)

@@ -23,8 +23,13 @@ last of all commands with two faults: `validate` of an invalid space with
 a utility that does not fit it, and `lift` with a malformed `--f` on a
 grid the space cannot give. After them come `validate` and `tc-check` of
 a scenario utility whose measures differ in length, in text and csv, and
-last `lift` with a space-separated `--f` whose first entry is negative, in
-text and csv, and with `--f` given no value. That makes 364 commands.
+`lift` with a space-separated `--f` whose first entry is negative, in
+text and csv, and with `--f` given no value. Last come `lift` at the
+default grid under the expectation, whose report shows the canonical
+split, on two-block spaces with masses 1..k for k = 8 to 11, on one block
+of masses (2, 3, 3, 2, 2)/12 and on the 1030 equal masses, then
+`cone-check` of three distortions on a space whose F1 block mass 2/10**400
+underflows float64, in text and csv. That makes 376 commands.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80.
 """
@@ -72,6 +77,14 @@ MALFORMED = {
     "space_block_index_boolean.json": {"masses": [1], "f1_blocks": [[False]]},
 }
 RAGGED = {"utility_scenario_ragged.json": {"utility": {"kind": "scenario", "measures": [[[1, 4]] * 4, [[1, 3]] * 3]}}}
+SPLITS = {  # blocks whose canonical equal split backtracks
+    **{f"ramp_{k}_twice.json": {"masses": [[i, k * (k + 1)] for i in range(1, k + 1)] * 2,
+                                "f1_blocks": [list(range(k)), list(range(k, 2 * k))]} for k in range(8, 12)},
+    "dead_room.json": {"masses": [[m, 12] for m in (2, 3, 3, 2, 2)], "f1_blocks": [[0, 1, 2, 3, 4]]},
+}
+_T = 10**400  # block [0, 3] has mass 2 / _T, which is 0.0 in float64
+UNDERFLOW = {"underflow.json": {"masses": [[1, _T], [_T - 2, 2 * _T], [_T - 2, 2 * _T], [1, _T]],
+                                "f1_blocks": [[0, 3], [1, 2]]}}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -185,7 +198,23 @@ def ragged() -> list[list[str]]:
 def negative_vectors() -> list[list[str]]:
     """`lift` with `--f V` where V starts with a minus sign, and with `--f` given no value."""
     base = ["lift", "--space", "space_4.json", "--utility", "utility_es_half.json"]
-    return [[*base, "--f", "-1,-1,0,0", "--g", "0,0,1,1", *fmt] for fmt in FORMATS] + [[*base, "--f", "--g", "0,0,1,1"]]
+    cmds = [[*base, "--f", "-1,-1,0,0", "--g", "0,0,1,1", *fmt] for fmt in FORMATS] + [[*base, "--f", "--g", "0,0,1,1"]]
+    return cmds + splits()
+
+
+def splits() -> list[list[str]]:
+    """`lift` at the default grid where the report shows the canonical split
+    of a non-uniform or long block, then `cone-check` on a space whose F1
+    block mass underflows float64."""
+    cmds = []
+    for space in [*SPLITS, "flat_1030.json"]:
+        f, g = _payoffs(space)
+        if f == g:  # one block, where both are 0: a g of 1/2 puts B strictly inside it
+            g = g.replace("0.0", "0.5")
+        cmds.append(["lift", "--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g])
+    for utility in ("utility_es_half.json", "utility_expectation.json", "utility_power_half.json"):
+        cmds += [["cone-check", "--space", *UNDERFLOW, "--utility", utility, "--probes", "3", *fmt] for fmt in FORMATS]
+    return cmds
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -207,7 +236,7 @@ def main() -> int:
         for name in SPACES + UTILITIES:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
-        for name, doc in {**GENERATED, **MALFORMED, **RAGGED}.items():
+        for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
