@@ -16,8 +16,8 @@ zeta conditionally acceptable on every block. Monotonicity collapses that
 search to evaluating the blockwise upper envelope of eta, the core bound
 min{E_Q[x | A] : Q in the dual set, Q(A) > 0} on each block A, so no LP
 solver is needed; witnesses are re-verified numerically before being
-returned. For a scenario base the bound is scenario_min_eval over its
-measures conditioned on the block. For a distortion base the dual set is
+returned. For a scenario base the bound is the minimum over its measures
+conditioned on the block. For a distortion base the dual set is
 the core of psi(P), and the bound is a linear-fractional program over it,
 solved by Dinkelbach's method (Dinkelbach 1967): each step takes the greedy
 core vertex of (x - t) 1_A, which minimises E_Q over the core, and moves t
@@ -32,14 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .space import Filtration, OutcomeSpace, Partition, RandomVariable
-from .utility import (
-    CoherentUtility,
-    DistortionFunction,
-    ScenarioSet,
-    core_vertex,
-    is_commonotone_pair,
-    scenario_min_eval,
-)
+from .utility import CoherentUtility, ScenarioSet, core_vertex, is_commonotone_pair
 
 __all__ = [
     "ConditionalUtility",
@@ -66,15 +59,14 @@ DEFAULT_SEED = 1729
 DEFAULT_PROBES = 200
 DEMO_PROBES = 50  # --probes of the demos
 GAP_TOL = 1e-9
-_EXPECTATION = CoherentUtility.from_distortion(DistortionFunction.expectation())
 
 
 @dataclass(frozen=True)
 class ConditionalUtility:
     """A base utility bound to a space and a two-period filtration; the
-    cached `conditioned` holds CoherentUtility.given's pair for each F1 block
-    (utility None where no scenario measure charges it) and the block's float
-    masses, built on first use so that no probe conditions a block again."""
+    cached `conditioned` holds CoherentUtility.given's (utility, law,
+    fallback) for each F1 block, built on first use so that no probe
+    conditions a block again."""
 
     base: CoherentUtility
     space: OutcomeSpace
@@ -90,9 +82,8 @@ class ConditionalUtility:
             ScenarioSet.of(self.base.scenarios.measures, self.space)  # raises if a measure's length is not space.size
 
     @cached_property
-    def conditioned(self) -> dict[tuple[int, ...], tuple]:
-        s = self.space
-        return {b: (*self.base.given(s, b), tuple(float(s.mass[i]) for i in b)) for b in self.filtration.f1.blocks}
+    def conditioned(self) -> dict[tuple[int, ...], tuple[CoherentUtility, OutcomeSpace, bool]]:
+        return {b: self.base.given(self.space, b) for b in self.filtration.f1.blocks}
 
 
 @dataclass(frozen=True)
@@ -139,9 +130,8 @@ def conditional_eval_with_flags(
         raise ValueError(f"payoff has {len(x.values)} entries for {cu.space.size} outcomes")
     out = [0.0] * cu.space.size
     fallbacks: list[int] = []
-    for bi, (block, (u, law, _)) in enumerate(cu.conditioned.items()):
-        if u is None:
-            u = _EXPECTATION
+    for bi, (block, (u, law, fallback)) in enumerate(cu.conditioned.items()):
+        if fallback:
             fallbacks.append(bi)
         v = u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law)
         for i in block:
@@ -231,32 +221,36 @@ def tc_gap(
 def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
     """min{E_Q[x | A] : Q in the dual set of the base, Q(A) > 0} on F1 block A.
 
-    Scenario bases take the minimum over their measures; when none charges
-    the block, eta there is unconstrained and the bound is max x on A.
-    Distortion bases run Dinkelbach's iteration from t = E_P[x | A] (P lies
-    in the core): the greedy vertex Q of (x - t) 1_A minimises
-    E_Q[(x - t) 1_A] over the core, so t is the bound once that minimum is
-    nonnegative, and otherwise E_Q[x | A] < t is the next t. Each step costs
-    one sort and one pass of psi over the outcomes; the iteration also stops
-    when t fails to decrease, so float noise cannot make it cycle.
+    Scenario bases take the minimum over their measures conditioned on A;
+    when none charges the block, eta there is unconstrained and the bound is
+    max x on A. Distortion bases run Dinkelbach's iteration from
+    t = E_P[x | A] under the exact conditional law (P lies in the core): the
+    greedy vertex Q of (x - t) 1_A minimises E_Q[(x - t) 1_A] over the core,
+    so t is the bound once E_Q[x | A] >= t, and otherwise E_Q[x | A] is the
+    next t. Q enters through its conditional weights q_i / Q(A) on A, exact
+    Fractions for the rational kinds, so a block whose mass underflows
+    float64 is bounded as exactly as any other; a float psi (power,
+    piecewise) cannot see such a mass, gives Q(A) = 0 and leaves t at
+    E_P[x | A]. Each step costs one sort and one pass of psi over the
+    outcomes; t strictly decreases through values of finitely many
+    vertices, so float noise cannot make it cycle.
     """
-    u, law, mass = cu.conditioned[tuple(block)]
+    u, law, fallback = cu.conditioned[tuple(block)]
+    on_block = RandomVariable(tuple(x.values[i] for i in block))
     if cu.base.kind == "scenario":
-        on_block = RandomVariable(tuple(x.values[i] for i in block))
-        return max(on_block.values) if u is None else scenario_min_eval(on_block, u.scenarios)[0]
+        return max(on_block.values) if fallback else u.evaluate(on_block, law)
 
     space = cu.space
     inside = set(block)
-    if not sum(mass):  # the block's float masses underflow to 0.0; its conditional law does not
-        mass = tuple(float(m) for m in law.mass)
-    t = sum(m * x.values[i] for m, i in zip(mass, block)) / sum(mass)
+    t = sum(float(m) * v for m, v in zip(law.mass, on_block.values))
     while True:
         y = [x.values[i] - t if i in inside else 0.0 for i in range(space.size)]
         order = sorted(range(space.size), key=y.__getitem__, reverse=True)
         q = core_vertex(cu.base.distortion, space, order)
-        if sum(float(q[i]) * y[i] for i in block) >= 0.0:
+        q_block = sum(q[i] for i in block)
+        if not q_block:
             return t
-        t_next = sum(float(q[i]) * x.values[i] for i in block) / sum(float(q[i]) for i in block)
+        t_next = sum(float(q[i] / q_block) * v for i, v in zip(block, on_block.values))
         if t_next >= t:
             return t
         t = t_next

@@ -115,6 +115,12 @@ def geometry_xyl(p: GeometryPoint, m: float) -> tuple[GeometryPoint, GeometryPoi
     return big_x, big_y, min(max(lam, 0.0), 1.0)
 
 
+def _require_distortion_base(cu: ConditionalUtility) -> None:
+    """Refuse a base whose indicator utilities have no grid inverse, before any grid is searched."""
+    if cu.base.kind != "distortion":
+        raise ValueError("non-distortion base: lift needs the grid inverse of find_b")
+
+
 def find_b(
     cu: ConditionalUtility, grid: UniformGrid, lambda_target: RandomVariable
 ) -> tuple[EventSet, RandomVariable]:
@@ -125,8 +131,7 @@ def find_b(
     has conditional utility psi(k/n); inverting that monotone table is the
     whole search. Ties go to the smaller k.
     """
-    if cu.base.kind != "distortion":
-        raise ValueError("non-distortion base: indicator utilities have no explicit grid inverse")
+    _require_distortion_base(cu)
     f1 = cu.filtration.f1
     if not lambda_target.is_measurable(f1):
         raise ValueError("lambda_target must be F1-measurable")
@@ -170,8 +175,7 @@ def lift_pair(
     f1 = cu.filtration.f1
     if not f.is_measurable(f1) or not g.is_measurable(f1):
         raise ValueError("f and g must be F1-measurable")
-    if cu.base.kind != "distortion":
-        raise ValueError("non-distortion base: lift needs the grid inverse of find_b")
+    _require_distortion_base(cu)
     size = cu.space.size
     m = max(f.sup_norm(), g.sup_norm())
     n_blocks = len(f1.blocks)

@@ -286,12 +286,10 @@ def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
 
 
 def conditional_expectation(x: RandomVariable, given: Partition, space: OutcomeSpace) -> RandomVariable:
-    """Blockwise mean of x under the conditional law; constant on each block."""
+    """Blockwise mean of x under the exact conditional law; constant on each block."""
     out = [0.0] * space.size
     for block in given.blocks:
-        bm = space.mass_of(block)
-        acc = sum(float(space.mass[i]) * x.values[i] for i in block)
-        val = acc / float(bm)
+        val = sum(float(m) * x.values[i] for m, i in zip(space.given(block).mass, block))
         for i in block:
             out[i] = val
     return RandomVariable(tuple(out))

@@ -211,18 +211,18 @@ class CoherentUtility:
             raise ValueError("product grid sizes must be positive")
         return cls("product", k_alpha=k_alpha, k_x=k_x)
 
-    def given(self, space: OutcomeSpace, block) -> tuple["CoherentUtility | None", OutcomeSpace | None]:
-        """(utility on `block`, the block's conditional law). A scenario base
-        needs no law, so it is built only when no measure charges the block;
-        the utility is then None and the caller picks a fallback."""
+    def given(self, space: OutcomeSpace, block) -> tuple["CoherentUtility", OutcomeSpace, bool]:
+        """(utility on `block`, its exact conditional law, fallback): where no
+        scenario measure charges the block, the expectation stands in, flagged."""
+        if self.kind == "product":
+            raise ValueError("the product-grid utility has no conditional form on one block")
+        law = space.given(block)
         if self.kind == "distortion":
-            return self, space.given(block)
-        if self.kind == "scenario":
-            conditioned = self.scenarios.given(block)
-            if conditioned is None:
-                return None, space.given(block)
-            return CoherentUtility.from_scenarios(conditioned), None
-        raise ValueError("the product-grid utility has no conditional form on one block")
+            return self, law, False
+        conditioned = self.scenarios.given(block)
+        if conditioned is None:
+            return CoherentUtility.from_distortion(DistortionFunction.expectation()), law, True
+        return CoherentUtility.from_scenarios(conditioned), law, False
 
     def evaluate(self, x: RandomVariable, space: OutcomeSpace | None, filtration: Filtration | None = None) -> float:
         if self.kind == "distortion":

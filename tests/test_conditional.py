@@ -558,3 +558,21 @@ def test_core_bound_on_a_block_whose_float_mass_underflows():
         bound = core_bound(cu, x, (0, 3))
         assert -1.0 <= bound <= 0.0  # between min x and E_P[x | A] on the block
         assert cone_decompose(cu, RandomVariable.of([1.0] * 4))[0]
+
+
+@pytest.mark.parametrize("psi,want", [(DistortionFunction.es((1, 2)), -1.0), (DistortionFunction.expectation(), 0.0)],
+                         ids=["es-half", "expectation"])
+def test_core_bound_on_an_underflowing_block_is_the_exact_vertex_minimum(psi, want):
+    # the greedy vertices' masses on {0, 3} are 0.0 as floats; their conditional weights on it are not
+    t = 10**400
+    space = OutcomeSpace.from_masses([(1, t), (t - 2, 2 * t), (t - 2, 2 * t), (1, t)])
+    filt = Filtration.two_period(space, [[0, 3], [1, 2]])
+    x = RandomVariable.of([1.0, -0.5, 0.25, -1.0])
+    block = (0, 3)
+    exact = min(
+        sum(q[i] * Fraction(x.values[i]) for i in block) / sum(q[i] for i in block)
+        for q in core_extreme_points(psi, space).measures
+        if sum(q[i] for i in block)
+    )
+    assert float(exact) == want
+    assert core_bound(ConditionalUtility(CoherentUtility.from_distortion(psi), space, filt), x, block) == want

@@ -1043,6 +1043,18 @@ def test_cli_lift_refuses_bad_payoffs_without_building_the_grid(f, g, message, c
     assert message in err
 
 
+def test_cli_lift_refuses_a_non_distortion_base_without_building_the_grid(capsys):
+    # the default grid's canonical split is exponential in the block size; the refusal needs none of it
+    with mock.patch.object(cli, "build_uniform_grid", side_effect=AssertionError("grid built")):
+        code, out, err = run_cli(
+            ["lift", "--space", data("space_8.json"), "--utility", data("utility_scenario.json"),
+             "--f", "1,1,1,1,0,0,0,0", "--g", "0,0,0,0,0,0,0,0"],
+            capsys,
+        )
+    _assert_input_error(code, out, err)
+    assert "non-distortion base: lift needs the grid inverse of find_b" in err
+
+
 def test_cli_lift_places_each_block_on_the_boundary_once(capsys):
     assert not hasattr(cli, "geometry_xyl")
     with mock.patch.object(riskcal.lift, "geometry_xyl", wraps=riskcal.lift.geometry_xyl) as spy:

@@ -1,6 +1,7 @@
 """Fingerprint every report the riskcal CLI gives on a fixed command list.
 
     PYTHONPATH=src python3 tools/report_battery.py > battery.txt
+    PYTHONPATH=src python3 tools/report_battery.py --against REV
 
 Each command runs in-process through `riskcal.cli.main`, in a scratch
 directory holding copies of the shipped data files and a few generated
@@ -29,21 +30,34 @@ default grid under the expectation, whose report shows the canonical
 split, on two-block spaces with masses 1..k for k = 8 to 11, on one block
 of masses (2, 3, 3, 2, 2)/12 and on the 1030 equal masses, then
 `cone-check` of three distortions on a space whose F1 block mass 2/10**400
-underflows float64, in text and csv. That makes 376 commands.
-Help and usage text wraps at the terminal width, so the battery runs at
-COLUMNS=80.
+underflows float64, in text and csv. Then `eval`, `tc-check --probes 20`
+and `cone-check --probes 20`, in text and csv, of a piecewise distortion
+on space_4, space_8 and space_12 and of two scenario sets that charge no
+outcome of space_4's second block, and last `lift` of a scenario base on
+two blocks of masses 1..14, which is refused before any grid search. That
+makes 407 commands. Help and usage text wraps at the terminal width, so
+the battery runs at COLUMNS=80.
+
+`--against REV` exports REV's src/ with `git archive` into a temporary
+directory, runs this same command list there in a subprocess with
+PYTHONPATH set to that tree, and prints each command whose line differs
+from this checkout's. It exits 1 if any does and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 import traceback
+from pathlib import Path
 
 import riskcal.cli
 from riskcal.io import load_space_file, packaged_data_path
@@ -85,6 +99,17 @@ SPLITS = {  # blocks whose canonical equal split backtracks
 _T = 10**400  # block [0, 3] has mass 2 / _T, which is 0.0 in float64
 UNDERFLOW = {"underflow.json": {"masses": [[1, _T], [_T - 2, 2 * _T], [_T - 2, 2 * _T], [1, _T]],
                                 "f1_blocks": [[0, 3], [1, 2]]}}
+CONDITIONED = {  # a piecewise distortion, and scenario sets that charge no outcome of space_4's block [2, 3]
+    "utility_piecewise.json": {"utility": {"kind": "piecewise", "knots": [[0, 0], [0.5, 0.25], [1, 1]]}},
+    "utility_scenario_uncharged.json": {"utility": {"kind": "scenario", "measures": [[[1, 2], [1, 2], 0, 0]]}},
+    "utility_scenario_uncharged_and_uniform.json": {
+        "utility": {"kind": "scenario", "measures": [[[1, 2], [1, 2], 0, 0], [[1, 4]] * 4]}},
+}
+REFUSED_BEFORE_GRID = {  # a default grid whose canonical split searches long, and a base lift refuses
+    "ramp_14_twice.json": {"masses": [[i, 14 * 15] for i in range(1, 15)] * 2,
+                           "f1_blocks": [list(range(14)), list(range(14, 28))]},
+    "utility_scenario_uniform_28.json": {"utility": {"kind": "scenario", "measures": [[[1, 28]] * 28]}},
+}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -214,7 +239,24 @@ def splits() -> list[list[str]]:
         cmds.append(["lift", "--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g])
     for utility in ("utility_es_half.json", "utility_expectation.json", "utility_power_half.json"):
         cmds += [["cone-check", "--space", *UNDERFLOW, "--utility", utility, "--probes", "3", *fmt] for fmt in FORMATS]
-    return cmds
+    return cmds + conditioned()
+
+
+def conditioned() -> list[list[str]]:
+    """`eval`, `tc-check` and `cone-check` of a piecewise distortion and of
+    scenario sets with an uncharged block, then `lift` of a scenario base on
+    a space whose default grid would search long before the refusal."""
+    pairs = [(space, "utility_piecewise.json") for space in SPACES[:3]]
+    pairs += [("space_4.json", name) for name in CONDITIONED if name.startswith("utility_scenario")]
+    cmds = []
+    for space, utility in pairs:
+        both = ["--space", space, "--utility", utility]
+        for fmt in FORMATS:
+            cmds += [["eval", *both, *fmt], ["tc-check", *both, "--probes", "20", *fmt],
+                     ["cone-check", *both, "--probes", "20", *fmt]]
+    space, utility = REFUSED_BEFORE_GRID
+    f, g = _payoffs(space)
+    return cmds + [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g]]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -230,13 +272,15 @@ def run(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
-    total = hashlib.sha256()
+def fingerprints() -> list[str]:
+    """One line per command: the sha256 of its (exit code, stdout, stderr), the code and the command."""
+    lines = []
     with tempfile.TemporaryDirectory() as work:
         for name in SPACES + UTILITIES:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
-        for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW}.items():
+        for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
+                          **REFUSED_BEFORE_GRID}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
@@ -244,15 +288,51 @@ def main() -> int:
         here = os.getcwd()
         os.chdir(work)
         try:
-            cmds = commands()
-            for argv in cmds:
+            for argv in commands():
                 code, out, err = run(argv)
                 digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
-                total.update(digest.encode())
-                print(f"{digest}  {code}  {' '.join(argv)}")
+                lines.append(f"{digest}  {code}  {' '.join(argv)}")
         finally:
             os.chdir(here)
-    print(f"{total.hexdigest()}  total over {len(cmds)} commands")
+    return lines
+
+
+def against(rev: str, lines: list[str]) -> int:
+    """Run this battery on `rev`'s src/ in a subprocess; print each command
+    whose line differs from `lines`. 1 if any does, else 0."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        theirs = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                                check=True).stdout.splitlines()[:-1]
+    differ = 0
+    for ours, old in zip(lines, theirs):
+        if ours != old:
+            differ += 1
+            digest, code, command = ours.split("  ", 2)
+            old_digest, old_code, _ = old.split("  ", 2)
+            print(f"differs: {command}\n  {rev}: {old_digest}  {old_code}\n  here: {digest}  {code}")
+    print(f"{differ} of {len(lines)} commands differ against {rev}")
+    return 1 if differ else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Fingerprint every riskcal CLI report on a fixed command list.")
+    parser.add_argument("--against", metavar="REV",
+                        help="run the list on REV's src/ too and print only the commands whose report differs")
+    args = parser.parse_args(argv)
+    lines = fingerprints()
+    if args.against:
+        return against(args.against, lines)
+    total = hashlib.sha256()
+    for line in lines:
+        total.update(line.split("  ", 1)[0].encode())
+        print(line)
+    print(f"{total.hexdigest()}  total over {len(lines)} commands")
     return 0
 
 
