@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .space import Filtration, OutcomeSpace, Partition, RandomVariable
-from .utility import CoherentUtility, ScenarioSet, core_vertex, is_commonotone_pair
+from .utility import CoherentUtility, ScenarioSet, _marginal_numerators, is_commonotone_pair
 
 __all__ = [
     "ConditionalUtility",
@@ -227,13 +227,13 @@ def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
     t = E_P[x | A] under the exact conditional law (P lies in the core): the
     greedy vertex Q of (x - t) 1_A minimises E_Q[(x - t) 1_A] over the core,
     so t is the bound once E_Q[x | A] >= t, and otherwise E_Q[x | A] is the
-    next t. Q enters through its conditional weights q_i / Q(A) on A, exact
-    Fractions for the rational kinds, so a block whose mass underflows
-    float64 is bounded as exactly as any other; a float psi (power,
-    piecewise) cannot see such a mass, gives Q(A) = 0 and leaves t at
-    E_P[x | A]. Each step costs one sort and one pass of psi over the
-    outcomes; t strictly decreases through values of finitely many
-    vertices, so float noise cannot make it cycle.
+    next t. Q comes from psi_at on the space's integer weights and enters
+    through its conditional weights q_i / Q(A), one int / int ratio each for
+    the rational kinds, so a block whose mass underflows float64 is bounded
+    as exactly as any other; a float psi (power, piecewise) cannot see such
+    a mass, gives Q(A) = 0 and leaves t at E_P[x | A]. Each step costs one
+    sort and one pass of psi over the outcomes; t strictly decreases through
+    values of finitely many vertices, so float noise cannot make it cycle.
     """
     u, law, fallback = cu.conditioned[tuple(block)]
     on_block = RandomVariable(tuple(x.values[i] for i in block))
@@ -242,15 +242,15 @@ def core_bound(cu: ConditionalUtility, x: RandomVariable, block) -> float:
 
     space = cu.space
     inside = set(block)
-    t = sum(float(m) * v for m, v in zip(law.mass, on_block.values))
+    t = sum(m / law.scale * v for m, v in zip(law.weights, on_block.values))
     while True:
         y = [x.values[i] - t if i in inside else 0.0 for i in range(space.size)]
         order = sorted(range(space.size), key=y.__getitem__, reverse=True)
-        q = core_vertex(cu.base.distortion, space, order)
+        q = _marginal_numerators(cu.base.distortion, space, order)[0]
         q_block = sum(q[i] for i in block)
         if not q_block:
             return t
-        t_next = sum(float(q[i] / q_block) * v for i, v in zip(block, on_block.values))
+        t_next = sum(q[i] / q_block * v for i, v in zip(block, on_block.values))
         if t_next >= t:
             return t
         t = t_next

@@ -7,8 +7,9 @@ Payoffs (random variables) are plain floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, lcm
 from typing import Iterable, Sequence
 
@@ -46,7 +47,8 @@ def _as_fraction(m) -> Fraction:
 
 @dataclass(frozen=True)
 class OutcomeSpace:
-    """Finite sample space with one exact rational mass per outcome."""
+    """Finite sample space with one exact rational mass per outcome; `scale` W
+    (the lcm of the denominators) and the integer `weights` mass * W are cached."""
 
     outcomes: tuple[str, ...]
     mass: tuple[Fraction, ...]
@@ -65,6 +67,14 @@ class OutcomeSpace:
     @property
     def size(self) -> int:
         return len(self.outcomes)
+
+    @cached_property
+    def scale(self) -> int:
+        return lcm(*(m.denominator for m in self.mass))
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(m.numerator * (self.scale // m.denominator) for m in self.mass)
 
     def mass_of(self, indices: Iterable[int]) -> Fraction:
         return sum((self.mass[i] for i in indices), Fraction(0))

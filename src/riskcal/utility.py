@@ -13,12 +13,12 @@ block's conditional law, where the same evaluate gives conditional values.
 
 Distortion and scenario evaluations agree through the core of the convex
 game v: every core vertex is the marginal vector of v along some outcome
-order (core_vertex), and the Choquet value is the expectation under the
-vertex taken along descending payoff, the minimum over the core.
-core_extreme_points enumerates all n! orders; it is the reference
-enumeration only, kept for the Choquet/core duality check and as the test
-oracle for the Dinkelbach core bound in riskcal.conditional, and nothing
-on a command path calls it.
+order (core_vertex, built on the space's integer weights through psi_at),
+and the Choquet value is the expectation under the vertex along descending
+payoff, the minimum over the core. core_extreme_points enumerates all n!
+orders, a reference only: the duality check and the test oracle of the
+Dinkelbach core bound use it, and no command path calls it. A scenario set
+converts its rows to float once (float_rows) for scenario_min_eval.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .space import Filtration, OutcomeSpace, RandomVariable, _as_fraction, product_space
@@ -131,6 +132,17 @@ class DistortionFunction:
         (p0, y0), (p1, y1) = self.knots[j - 1], self.knots[j]
         return y0 + (y1 - y0) * (pf - p0) / (p1 - p0)
 
+    def psi_at(self, s: int, w: int) -> tuple[int, int] | tuple[float, None]:
+        """psi(s / w) for integers s >= 0, w > 0, as (numerator, denominator): exact
+        ints for the rational kinds, es(a/b) giving max(0, b*s - (b-a)*w) over
+        a*w; for power and piecewise the float psi(s / w) over None."""
+        if self.kind == "expectation":
+            return s, w
+        if self.kind == "es":
+            a, b = self.alpha.numerator, self.alpha.denominator
+            return max(0, b * s - (b - a) * w), a * w
+        return self.psi(s / w), None
+
     def describe(self) -> str:
         if self.kind == "expectation":
             return "expectation"
@@ -147,6 +159,11 @@ class ScenarioSet:
 
     measures: tuple[tuple[Scalar, ...], ...]
 
+    @cached_property
+    def float_rows(self) -> tuple[tuple[float, ...], ...]:
+        """The measures in float, built once; equality and hash stay on `measures`."""
+        return tuple(tuple(float(v) for v in q) for q in self.measures)
+
     @classmethod
     def of(cls, measures, space: OutcomeSpace | None = None) -> "ScenarioSet":
         rows = []
@@ -158,7 +175,7 @@ class ScenarioSet:
             exact = all(isinstance(v, (Fraction, int)) for v in row)
             if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > 1e-9):
                 raise ValueError(f"measure {idx} sums to {total}, not 1")
-            if any(float(v) < -1e-12 for v in row):
+            if any(v < 0 if isinstance(v, (Fraction, int)) else v < -1e-12 for v in row):
                 raise ValueError(f"measure {idx} has a negative entry")
             if space is not None and len(row) != space.size:
                 raise ValueError(f"measure {idx} has {len(row)} entries for {space.size} outcomes")
@@ -267,10 +284,10 @@ def scenario_min_eval(x: RandomVariable, s: ScenarioSet) -> tuple[float, int]:
     """Min over the listed measures of E_Q[x]; ties go to the lowest index."""
     best = float("inf")
     best_idx = -1
-    for idx, q in enumerate(s.measures):
+    for idx, q in enumerate(s.float_rows):
         if len(q) != len(x.values):
             raise ValueError(f"measure {idx} has {len(q)} entries for {len(x.values)} outcomes")
-        e = sum(float(qi) * v for qi, v in zip(q, x.values))
+        e = sum(qi * v for qi, v in zip(q, x.values))
         if e < best:
             best, best_idx = e, idx
     return best, best_idx
@@ -282,17 +299,25 @@ def core_vertex(psi: DistortionFunction, space: OutcomeSpace, order) -> tuple[Sc
     The outcome added in step i receives v(first i) - v(first i-1), with
     the cumulative masses kept exact. Along an order of descending payoff
     this core measure attains the Choquet value, the minimum of E_Q over the
-    core (Shapley 1971; Schmeidler 1986).
+    core (Shapley 1971; Schmeidler 1986). Exact view of _marginal_numerators.
     """
-    s = _ZERO
-    prev = psi.psi(s)
-    q: list[Scalar] = [0] * space.size
+    q, den = _marginal_numerators(psi, space, order)
+    return tuple(d if den is None else Fraction(d, den) for d in q)
+
+
+def _marginal_numerators(psi: DistortionFunction, space: OutcomeSpace, order) -> tuple[list, int | None]:
+    """core_vertex as (numerators, den) from the space's integer weights: ints
+    over den for the rational kinds, the float marginals and None otherwise."""
+    weights, w = space.weights, space.scale
+    s = 0
+    prev, den = psi.psi_at(s, w)
+    q: list = [0] * space.size
     for i in order:
-        s += space.mass[i]
-        cur = psi.psi(s)
+        s += weights[i]
+        cur = psi.psi_at(s, w)[0]
         q[i] = cur - prev
         prev = cur
-    return tuple(q)
+    return q, den
 
 
 def core_extreme_points(psi: DistortionFunction, space: OutcomeSpace, cap: int = 8) -> ScenarioSet:

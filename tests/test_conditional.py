@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskcal import (
@@ -576,3 +576,85 @@ def test_core_bound_on_an_underflowing_block_is_the_exact_vertex_minimum(psi, wa
     )
     assert float(exact) == want
     assert core_bound(ConditionalUtility(CoherentUtility.from_distortion(psi), space, filt), x, block) == want
+
+
+# ------------------------------------- core_bound on integer mass weights
+
+# the six kinds of test_utility.ALL_KINDS
+CORE_KINDS = [
+    DistortionFunction.expectation(),
+    DistortionFunction.es((1, 2)),
+    DistortionFunction.es((1, 4)),
+    DistortionFunction.es((2, 3)),
+    DistortionFunction.power(0.5),
+    DistortionFunction.piecewise([(0, 0), (0.5, 0.25), (1, 1)]),
+]
+_T = 10**400  # the block {0, 3} of this space has mass 2 / _T, 0.0 in float64
+UNDERFLOW = OutcomeSpace.from_masses([(1, _T), (_T - 2, 2 * _T), (_T - 2, 2 * _T), (1, _T)])
+
+
+def _fraction_core_bound(cu, x, block) -> float:
+    """core_bound's distortion branch on Fraction masses: the greedy vertex
+    with exact cumulative masses, then each conditional weight float(q_i / q_block)."""
+    space, psi = cu.space, cu.base.distortion
+    block_mass = sum((space.mass[i] for i in block), Fraction(0))
+    on_block = [x.values[i] for i in block]
+    inside = set(block)
+    t = sum(float(space.mass[i] / block_mass) * v for i, v in zip(block, on_block))
+    while True:
+        y = [x.values[i] - t if i in inside else 0.0 for i in range(space.size)]
+        s = Fraction(0)
+        prev = psi.psi(s)
+        q = [0] * space.size
+        for i in sorted(range(space.size), key=y.__getitem__, reverse=True):
+            s += space.mass[i]
+            cur = psi.psi(s)
+            q[i] = cur - prev
+            prev = cur
+        q_block = sum(q[i] for i in block)
+        if not q_block:
+            return t
+        t_next = sum(float(q[i] / q_block) * v for i, v in zip(block, on_block))
+        if t_next >= t:
+            return t
+        t = t_next
+
+
+@st.composite
+def _lattice_cases(draw):
+    """A space of 1..7 outcomes whose masses are Fractions over mixed
+    denominators or plain ints, normalised to a probability or left as
+    drawn, 1-3 blocks (or, one time in eight, the underflow space), one of
+    the six kinds and tie-heavy payoffs."""
+    n = draw(st.integers(1, 7))
+    mass = st.one_of(st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12), st.integers(1, 2))
+    masses = draw(st.lists(mass, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        total = sum(masses, Fraction(0))
+        masses = [m / total for m in masses]
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(n)), tuple(masses))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(3, n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True))) if n > 1 else []
+    blocks = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    if draw(st.integers(0, 7)) == 0:
+        space, n, blocks = UNDERFLOW, 4, [[0, 3], [1, 2]]
+    psi = draw(st.sampled_from(CORE_KINDS))
+    value = st.one_of(st.integers(-3, 3).map(lambda v: v / 2), st.sampled_from([0.0, -0.0, 0.1, 1e-300]))
+    payoffs = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4))
+    cu = ConditionalUtility(CoherentUtility.from_distortion(psi), space, Filtration.two_period(space, blocks))
+    return cu, [RandomVariable.of(v) for v in payoffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases())
+@example((ConditionalUtility(CoherentUtility.from_distortion(DistortionFunction.es((2, 3))), UNDERFLOW,
+                             Filtration.two_period(UNDERFLOW, [[0, 3], [1, 2]])),
+          [RandomVariable.of([1.0, -0.5, 0.25, -1.0]), RandomVariable.of([-1.0, 0.5, 0.5, 1.0])]))
+def test_core_bound_equals_the_fraction_vertex_reference(case):
+    cu, payoffs = case
+    for x in payoffs:
+        for block in cu.filtration.f1.blocks:
+            got, want = core_bound(cu, x, block), _fraction_core_bound(cu, x, block)
+            assert got == want and repr(got) == repr(want)
+

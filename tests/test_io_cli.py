@@ -617,6 +617,17 @@ def test_cli_eval_rejects_nan_scenario_entry(tmp_path, capsys):
     assert err.startswith("input error:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["tc-check", "--probes", "5"]], ids=["validate", "tc-check"])
+def test_cli_refuses_an_exact_negative_scenario_entry_above_float_slack(command, tmp_path, capsys):
+    # -1/10**13 lies above the float slack of -1e-12, and was accepted with "ok": true
+    bad = tmp_path / "tiny_negative.json"
+    row = [[-1, 10**13], [1, 4], [1, 4], [5 * 10**12 + 1, 10**13]]
+    bad.write_text(json.dumps({"utility": {"kind": "scenario", "measures": [row]}}))
+    code, out, err = run_cli([*command, "--space", data("space_4.json"), "--utility", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err == "input error: measure 0 has a negative entry (field 'utility')\n"
+
+
 def test_emit_report_text_rejects_non_finite():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ independent in-test oracles (Abel-summed Choquet and raw permutation
 marginals)."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -497,3 +498,62 @@ def test_choquet_and_product_evaluation_refuse_a_payoff_of_another_length(values
     space, filt = product_space(2, 2)
     with pytest.raises(ValueError, match=message):
         product_example_eval(x, 2, 2, space, filt)
+
+
+# ---------------------------------------- cached float rows and integer weights
+
+def test_scenario_set_refuses_an_exact_negative_entry_of_any_size():
+    # an exact entry was compared as a float against -1e-12, so -1/10**13 passed
+    tiny = [Fraction(-1, 10**13), Fraction(1, 4), Fraction(1, 4), Fraction(5 * 10**12 + 1, 10**13)]
+    for row in (tiny, [Fraction(-1, 100), Fraction(1, 4), Fraction(1, 4), Fraction(51, 100)], [-1, 1, 1, 0]):
+        with pytest.raises(ValueError, match="^measure 0 has a negative entry$"):
+            ScenarioSet.of([row])
+    # float entries keep their 1e-12 slack
+    assert ScenarioSet.of([[-1e-13, 0.5, 0.5 + 1e-13]]).size == 1
+
+
+def scenario_min_reference(x, s):
+    """scenario_min_eval with float(q_i) taken on every entry of every probe."""
+    best, best_idx = float("inf"), -1
+    for idx, q in enumerate(s.measures):
+        e = sum(float(qi) * v for qi, v in zip(q, x.values))
+        if e < best:
+            best, best_idx = e, idx
+    return best, best_idx
+
+
+@st.composite
+def scenario_rows(draw):
+    """1-4 measures on n outcomes, each of Fraction, int or float entries, and tie-heavy payoffs."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+        kind = draw(st.sampled_from(["fraction", "int", "float"]))
+        if kind == "int":
+            rows.append(tuple(int(i == raw.index(max(raw))) for i in range(n)))
+        else:
+            row = tuple(Fraction(w, sum(raw)) for w in raw)
+            rows.append(row if kind == "fraction" else tuple(float(v) for v in row))
+    payoffs = draw(st.lists(st.lists(TIE_VALUE | st.floats(-2.0, 2.0), min_size=n, max_size=n), min_size=1, max_size=4))
+    return ScenarioSet.of(rows), [RandomVariable.of(v) for v in payoffs]
+
+
+@given(scenario_rows())
+def test_scenario_min_eval_matches_per_entry_float_reference_bit_for_bit(case):
+    s, payoffs = case
+    twin = ScenarioSet(s.measures)
+    for x in payoffs:
+        got, want = scenario_min_eval(x, s), scenario_min_reference(x, s)
+        assert got == want and repr(got) == repr(want)
+    assert s.float_rows == tuple(tuple(float(v) for v in q) for q in s.measures)
+    assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+
+
+@given(st.lists(MASS, min_size=1, max_size=7))
+def test_outcome_space_weights_are_the_masses_over_their_lcm(masses):
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), tuple(masses))
+    twin = OutcomeSpace(space.outcomes, space.mass)
+    assert space.scale == math.lcm(*(Fraction(m).denominator for m in masses))
+    assert all(type(w) is int and w == m * space.scale for w, m in zip(space.weights, masses))
+    assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)

@@ -34,8 +34,13 @@ underflows float64, in text and csv. Then `eval`, `tc-check --probes 20`
 and `cone-check --probes 20`, in text and csv, of a piecewise distortion
 on space_4, space_8 and space_12 and of two scenario sets that charge no
 outcome of space_4's second block, and last `lift` of a scenario base on
-two blocks of masses 1..14, which is refused before any grid search. That
-makes 407 commands. Help and usage text wraps at the terminal width, so
+two blocks of masses 1..14, which is refused before any grid search. Then
+`cone-check --probes 20` and `tc-check --probes 20`, in text and csv, on a
+space whose masses have denominators 5, 7, 4, 35, 15 and 12 (lcm 420), of
+the expectation, es(1/2), es(2/3), power(1/2) and piecewise and of a
+scenario set with float entries, and last `validate` of a scenario set on
+space_4 with the exact entry -1/10**13, which is refused. That makes 432
+commands. Help and usage text wraps at the terminal width, so
 the battery runs at COLUMNS=80.
 
 `--against REV` exports REV's src/ with `git archive` into a temporary
@@ -109,6 +114,15 @@ REFUSED_BEFORE_GRID = {  # a default grid whose canonical split searches long, a
     "ramp_14_twice.json": {"masses": [[i, 14 * 15] for i in range(1, 15)] * 2,
                            "f1_blocks": [list(range(14)), list(range(14, 28))]},
     "utility_scenario_uniform_28.json": {"utility": {"kind": "scenario", "measures": [[[1, 28]] * 28]}},
+}
+MIXED = {  # masses over mixed denominators, so the integer weights' scale is 420
+    "mixed_denominators.json": {"masses": [[1, 5], [2, 7], [1, 4], [4, 35], [1, 15], [1, 12]],
+                                "f1_blocks": [[0, 2, 5], [1, 3, 4]]},
+    "utility_es_two_thirds.json": {"utility": {"kind": "es", "alpha": [2, 3]}},
+    "utility_scenario_floats.json": {"utility": {"kind": "scenario", "measures": [
+        [0.25, 0.25, 0.125, 0.125, 0.125, 0.125], [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]]}},
+    "utility_scenario_tiny_negative.json": {"utility": {"kind": "scenario", "measures": [
+        [[-1, 10**13], [1, 4], [1, 4], [5 * 10**12 + 1, 10**13]]]}},
 }
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
@@ -256,7 +270,18 @@ def conditioned() -> list[list[str]]:
                      ["cone-check", *both, "--probes", "20", *fmt]]
     space, utility = REFUSED_BEFORE_GRID
     f, g = _payoffs(space)
-    return cmds + [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g]]
+    return cmds + [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g]] + mixed()
+
+
+def mixed() -> list[list[str]]:
+    """`cone-check` and `tc-check` on a space whose integer weights have a
+    nontrivial scale, then a scenario entry that is exactly, if barely, negative."""
+    cmds = []
+    for utility in ("utility_expectation.json", "utility_es_half.json", "utility_es_two_thirds.json",
+                    "utility_power_half.json", "utility_piecewise.json", "utility_scenario_floats.json"):
+        both = ["--space", "mixed_denominators.json", "--utility", utility, "--probes", "20"]
+        cmds += [[command, *both, *fmt] for command in ("cone-check", "tc-check") for fmt in FORMATS]
+    return cmds + [["validate", "--space", "space_4.json", "--utility", "utility_scenario_tiny_negative.json"]]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -280,7 +305,7 @@ def fingerprints() -> list[str]:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
-                          **REFUSED_BEFORE_GRID}.items():
+                          **REFUSED_BEFORE_GRID, **MIXED}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
