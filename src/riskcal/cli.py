@@ -55,15 +55,13 @@ from .io import (
 )
 from .lift import _require_distortion_base, additivity_probe, lift_pair
 from .space import (
-    Filtration,
-    OutcomeSpace,
     Partition,
     RandomVariable,
     build_uniform_grid,
     conditional_resolution,
     validate,
 )
-from .utility import CoherentUtility, DistortionFunction, ScenarioSet, product_grid_rows
+from .utility import CoherentUtility, DistortionFunction
 
 # a command's (text report fields beside the header, CSV rows, CSV columns, exit status)
 Report = tuple[dict, list[dict], list[str], int]
@@ -156,18 +154,6 @@ def _load_space(args: argparse.Namespace):
     return space, filtration
 
 
-def _load_utility(args: argparse.Namespace, space: OutcomeSpace, filtration: Filtration) -> CoherentUtility:
-    """The utility, checked against the space as eval needs it. lift, tc-check and
-    cone-check build a ConditionalUtility instead, which refuses a product
-    utility first and checks scenario lengths itself."""
-    u = load_utility_file(args.utility)
-    if u.kind == "scenario":
-        ScenarioSet.of(u.scenarios.measures, space)  # raises if a measure's length is not space.size
-    elif u.kind == "product":
-        product_grid_rows(u.k_alpha, u.k_x, space, filtration)  # raises if the space is not that grid
-    return u
-
-
 def _parse_vector(text: str, size: int, name: str) -> RandomVariable:
     try:
         vals = [float(t) for t in text.split(",")]
@@ -203,7 +189,9 @@ def _run_validate(args: argparse.Namespace) -> Report:
         "conditional_resolution": conditional_resolution(space, filtration) if report.ok else 0,
     }
     if args.utility:  # fit is checked on a valid space only, so an invalid one still lists its violations
-        u = _load_utility(args, space, filtration) if report.ok else load_utility_file(args.utility)
+        u = load_utility_file(args.utility)
+        if report.ok:
+            u.check_space(space, filtration)
         fields["utility"] = u.describe()
     rows = [{"index": i, "violation": v} for i, v in enumerate(report.violations)]
     return fields, rows, ["index", "violation"], 0 if report.ok else 2
@@ -211,7 +199,8 @@ def _run_validate(args: argparse.Namespace) -> Report:
 
 def _run_eval(args: argparse.Namespace) -> Report:
     space, filtration = _load_space(args)
-    u = _load_utility(args, space, filtration)
+    u = load_utility_file(args.utility)
+    u.check_space(space, filtration)
     probes = default_probes(space, args.probes, args.seed, nonnegative=(u.kind == "product"))
     variant = u.describe()
     values = [u.evaluate(x, space, filtration) for x in probes]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .space import Filtration, OutcomeSpace, Partition, RandomVariable
-from .utility import CoherentUtility, ScenarioSet, _marginal_numerators, is_commonotone_pair
+from .utility import CoherentUtility, _marginal_numerators, is_commonotone_pair
 
 __all__ = [
     "ConditionalUtility",
@@ -78,8 +78,7 @@ class ConditionalUtility:
                 "conditional evaluation needs a distortion or scenario base; "
                 "the product-grid utility is a two-period object only"
             )
-        if self.base.kind == "scenario":
-            ScenarioSet.of(self.base.scenarios.measures, self.space)  # raises if a measure's length is not space.size
+        self.base.check_space(self.space, self.filtration)
 
     @cached_property
     def conditioned(self) -> dict[tuple[int, ...], tuple[CoherentUtility, OutcomeSpace, bool]]:

@@ -15,9 +15,9 @@ A utility file wraps one utility description:
     {"utility": {"kind": "product", "k_alpha": 8, "k_x": 8}}
 
 Scenario measure entries may be [num, den] pairs or plain numbers; JSON
-true and false are never numbers. Schema
-violations raise SchemaError carrying the offending field (and the line for
-JSON syntax errors), which the CLI turns into exit status 2.
+true and false are never numbers. Both file kinds refuse unknown keys.
+Schema violations raise SchemaError carrying the offending field (and the
+line for JSON syntax errors), which the CLI turns into exit status 2.
 
 Reports are emitted either as canonical JSON text (sorted keys, two-space
 indent, trailing newline) or as CSV with a fixed header; both forms re-parse
@@ -87,13 +87,17 @@ def _rational(value, field: str) -> Fraction:
     raise SchemaError(f"expected [num, den] pair, got {value!r}", field=field)
 
 
+def _refuse_unknown(doc: dict, known, prefix: str = "") -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise SchemaError(f"unknown keys {unknown}", field=prefix + unknown[0])
+
+
 def parse_space(text: str) -> tuple[OutcomeSpace, Filtration]:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("space file must be a JSON object")
-    unknown = set(doc) - {"masses", "f1_blocks", "labels"}
-    if unknown:
-        raise SchemaError(f"unknown keys {sorted(unknown)}", field=sorted(unknown)[0])
+    _refuse_unknown(doc, ("masses", "f1_blocks", "labels"))
     if "masses" not in doc:
         raise SchemaError("missing key", field="masses")
     if "f1_blocks" not in doc:
@@ -117,6 +121,11 @@ def parse_space(text: str) -> tuple[OutcomeSpace, Filtration]:
     return space, filtration
 
 
+# each utility kind's fields beside "kind"
+_KIND_FIELDS = {"expectation": (), "es": ("alpha",), "power": ("alpha",), "piecewise": ("knots",),
+                "scenario": ("measures",), "product": ("k_alpha", "k_x")}
+
+
 def parse_utility(text: str) -> CoherentUtility:
     doc = _load_json(text)
     if not isinstance(doc, dict) or "utility" not in doc:
@@ -127,25 +136,25 @@ def parse_utility(text: str) -> CoherentUtility:
     kind = u["kind"]
     try:
         if kind == "expectation":
-            return CoherentUtility.from_distortion(DistortionFunction.expectation())
-        if kind == "es":
-            return CoherentUtility.from_distortion(
+            utility = CoherentUtility.from_distortion(DistortionFunction.expectation())
+        elif kind == "es":
+            utility = CoherentUtility.from_distortion(
                 DistortionFunction.es(_rational(u.get("alpha"), field="utility.alpha"))
             )
-        if kind == "power":
+        elif kind == "power":
             a = u.get("alpha")
             if not _is_number(a):
                 raise SchemaError("power alpha must be a number", field="utility.alpha")
-            return CoherentUtility.from_distortion(DistortionFunction.power(float(a)))
-        if kind == "piecewise":
+            utility = CoherentUtility.from_distortion(DistortionFunction.power(float(a)))
+        elif kind == "piecewise":
             knots = u.get("knots")
             if not isinstance(knots, list):
                 raise SchemaError("piecewise needs a knots list", field="utility.knots")
             for ki, knot in enumerate(knots):
                 if not (isinstance(knot, list) and len(knot) == 2 and all(_is_number(v) for v in knot)):
                     raise SchemaError("knot must be a [p, psi(p)] pair of numbers", field=f"utility.knots[{ki}]")
-            return CoherentUtility.from_distortion(DistortionFunction.piecewise(knots))
-        if kind == "scenario":
+            utility = CoherentUtility.from_distortion(DistortionFunction.piecewise(knots))
+        elif kind == "scenario":
             measures = u.get("measures")
             if not isinstance(measures, list) or not measures:
                 raise SchemaError("scenario needs a nonempty measures list", field="utility.measures")
@@ -157,18 +166,22 @@ def parse_utility(text: str) -> CoherentUtility:
                     v if _is_number(v) else _rational(v, field=f"utility.measures[{qi}][{vi}]")
                     for vi, v in enumerate(q)
                 ])
-            return CoherentUtility.from_scenarios(ScenarioSet.of(rows))
-        if kind == "product":
+            utility = CoherentUtility.from_scenarios(ScenarioSet.of(rows))
+        elif kind == "product":
             ka, kx = u.get("k_alpha"), u.get("k_x")
             for key, size in (("k_alpha", ka), ("k_x", kx)):
                 if not _is_number(size, int):
                     raise SchemaError("product needs integer k_alpha and k_x", field=f"utility.{key}")
-            return CoherentUtility.product_example(ka, kx)
+            utility = CoherentUtility.product_example(ka, kx)
+        else:
+            raise SchemaError(f"unknown utility kind {kind!r}", field="utility.kind")
     except SchemaError:
         raise
     except (ValueError, OverflowError) as e:  # OverflowError: an integer beyond float range
         raise SchemaError(str(e), field="utility") from e
-    raise SchemaError(f"unknown utility kind {kind!r}", field="utility.kind")
+    _refuse_unknown(doc, ("utility",))  # after the fields, so that a bad field is named as such
+    _refuse_unknown(u, ("kind", *_KIND_FIELDS[kind]), prefix="utility.")
+    return utility
 
 
 def load_space_file(path) -> tuple[OutcomeSpace, Filtration]:

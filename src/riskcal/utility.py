@@ -8,8 +8,10 @@ Three utility kinds, each with one evaluation path, CoherentUtility.evaluate:
 * a two-layer product-grid example where the distortion exponent varies
   with the row coordinate.
 
-CoherentUtility.given restricts a distortion or scenario utility to one
-block's conditional law, where the same evaluate gives conditional values.
+CoherentUtility.check_space tests that a utility fits a space; given
+restricts a distortion or scenario utility to one block's conditional law,
+where the same evaluate gives conditional values. Scenario rows condition
+exactly as P does and turn float once (float_rows) for scenario_min_eval.
 
 Distortion and scenario evaluations agree through the core of the convex
 game v: every core vertex is the marginal vector of v along some outcome
@@ -17,8 +19,7 @@ order (core_vertex, built on the space's integer weights through psi_at),
 and the Choquet value is the expectation under the vertex along descending
 payoff, the minimum over the core. core_extreme_points enumerates all n!
 orders, a reference only: the duality check and the test oracle of the
-Dinkelbach core bound use it, and no command path calls it. A scenario set
-converts its rows to float once (float_rows) for scenario_min_eval.
+Dinkelbach core bound use it, and no command path calls it.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class ScenarioSet:
         return tuple(tuple(float(v) for v in q) for q in self.measures)
 
     @classmethod
-    def of(cls, measures, space: OutcomeSpace | None = None) -> "ScenarioSet":
+    def of(cls, measures) -> "ScenarioSet":
         rows = []
         for idx, q in enumerate(measures):
             row = tuple(q)
@@ -177,8 +178,6 @@ class ScenarioSet:
                 raise ValueError(f"measure {idx} sums to {total}, not 1")
             if any(v < 0 if isinstance(v, (Fraction, int)) else v < -1e-12 for v in row):
                 raise ValueError(f"measure {idx} has a negative entry")
-            if space is not None and len(row) != space.size:
-                raise ValueError(f"measure {idx} has {len(row)} entries for {space.size} outcomes")
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(rows[0])}")
             rows.append(row)
@@ -191,12 +190,14 @@ class ScenarioSet:
         return len(self.measures)
 
     def given(self, block) -> "ScenarioSet | None":
-        """The measures charging `block`, conditioned on it in float; None if none does."""
+        """The measures whose mass on `block`, summed from the entries as given, is
+        positive, each divided by it as OutcomeSpace.given divides P: exact rows
+        stay exact, float_rows rounds each once; None if no measure charges it."""
         rows = []
         for q in self.measures:
             total = sum(q[i] for i in block)
-            if float(total) > 0.0:
-                rows.append(tuple(float(q[i]) / float(total) for i in block))
+            if total > 0:
+                rows.append(tuple(q[i] / total for i in block))
         return ScenarioSet(tuple(rows)) if rows else None
 
 
@@ -227,6 +228,14 @@ class CoherentUtility:
         if k_alpha < 1 or k_x < 1:
             raise ValueError("product grid sizes must be positive")
         return cls("product", k_alpha=k_alpha, k_x=k_x)
+
+    def check_space(self, space: OutcomeSpace, filtration: Filtration | None = None) -> None:
+        """Raise ValueError unless this utility evaluates payoffs on `space`: every scenario
+        measure has one entry per outcome, a product's `space` is its grid; a distortion fits any."""
+        if self.kind == "scenario" and len(self.scenarios.measures[0]) != space.size:
+            raise ValueError(f"measure 0 has {len(self.scenarios.measures[0])} entries for {space.size} outcomes")
+        if self.kind == "product":
+            product_grid_rows(self.k_alpha, self.k_x, space, filtration)
 
     def given(self, space: OutcomeSpace, block) -> tuple["CoherentUtility", OutcomeSpace, bool]:
         """(utility on `block`, its exact conditional law, fallback): where no

@@ -658,3 +658,13 @@ def test_core_bound_equals_the_fraction_vertex_reference(case):
             got, want = core_bound(cu, x, block), _fraction_core_bound(cu, x, block)
             assert got == want and repr(got) == repr(want)
 
+
+
+def test_scenario_set_of_p_charges_a_block_whose_float_mass_underflows():
+    # measures conditioned in float saw {0, 3}'s mass 2 / 10**400 as 0.0: {P} flagged the
+    # block as uncharged and bounded x there by max x = 1.0, not by the expectation's 0.0
+    filt = Filtration.two_period(UNDERFLOW, [[0, 3], [1, 2]])
+    p_only = ConditionalUtility(CoherentUtility.from_scenarios(ScenarioSet.of([UNDERFLOW.mass])), UNDERFLOW, filt)
+    x = RandomVariable.of([1.0, -0.5, 0.25, -1.0])
+    assert conditional_eval_with_flags(p_only, x)[1] == ()
+    assert core_bound(p_only, x, [0, 3]) == core_bound(ConditionalUtility(EXPECT, UNDERFLOW, filt), x, [0, 3]) == 0.0

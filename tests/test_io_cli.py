@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 from time import perf_counter
 from unittest import mock
@@ -1182,3 +1183,42 @@ def test_cli_cone_check_on_a_block_whose_float_mass_underflows(utility, tmp_path
     code, out, err = run_cli(["cone-check", "--space", str(space), "--utility", data(utility), "--probes", "3"], capsys)
     assert code == 0 and err == ""
     assert parse_report(out)["verdicts"]
+
+
+# -------------------------------------------------------- unknown utility keys
+
+UNKNOWN_UTILITY_KEYS = {  # a misspelt or extra key was dropped: the first validated as es(1/2) with exit 0
+    "misspelt_field": ({"utility": {"kind": "es", "alpha": [1, 2], "alpah": [1, 4]}}, ["alpah"], "utility.alpah"),
+    "top_level": ({"utility": {"kind": "es", "alpha": [1, 2]}, "note": "x"}, ["note"], "note"),
+    "another_kinds_field": ({"utility": {"kind": "product", "k_alpha": 2, "k_x": 2, "alpha": 0.5}}, ["alpha"],
+                            "utility.alpha"),
+    "two_fields": ({"utility": {"kind": "expectation", "measures": [], "knots": 1}}, ["knots", "measures"],
+                   "utility.knots"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_UTILITY_KEYS))
+def test_parse_utility_refuses_unknown_keys(case):
+    doc, keys, field = UNKNOWN_UTILITY_KEYS[case]
+    with pytest.raises(SchemaError, match=re.escape(f"unknown keys {keys} (field {field!r})") + "$") as ei:
+        parse_utility(json.dumps(doc))
+    assert ei.value.field == field
+
+
+def test_parse_utility_names_a_bad_field_before_an_unknown_key():
+    with pytest.raises(SchemaError, match="^expected") as ei:
+        parse_utility(json.dumps({"utility": {"kind": "es", "alpha": "half", "alpah": [1, 4]}}))
+    assert ei.value.field == "utility.alpha"
+    with pytest.raises(SchemaError, match="^unknown utility kind"):
+        parse_utility(json.dumps({"utility": {"kind": "ess", "alpha": [1, 2]}, "note": "x"}))
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_UTILITY_KEYS))
+@pytest.mark.parametrize("command", [["validate"], ["eval"], ["tc-check", "--probes", "5"]])
+def test_cli_refuses_a_utility_file_with_unknown_keys(command, case, tmp_path, capsys):
+    doc, keys, field = UNKNOWN_UTILITY_KEYS[case]
+    path = tmp_path / "utility.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([*command, "--space", data("space_4.json"), "--utility", str(path)], capsys)
+    _assert_input_error(code, out, err)
+    assert err == f"input error: unknown keys {keys} (field {field!r})\n"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from riskcal import (
     CoherentUtility,
     DistortionFunction,
+    Filtration,
     OutcomeSpace,
     RandomVariable,
     ScenarioSet,
@@ -557,3 +558,67 @@ def test_outcome_space_weights_are_the_masses_over_their_lcm(masses):
     assert space.scale == math.lcm(*(Fraction(m).denominator for m in masses))
     assert all(type(w) is int and w == m * space.scale for w, m in zip(space.weights, masses))
     assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
+
+
+# ------------------------------------------------------- fit to a space, exact conditioning
+
+@pytest.mark.parametrize("entries", [1, 3, 8])
+def test_check_space_refuses_a_scenario_set_of_another_length(entries):
+    u = CoherentUtility.from_scenarios(ScenarioSet.of([[Fraction(1, entries)] * entries] * 2))
+    with pytest.raises(ValueError, match=f"^measure 0 has {entries} entries for 4 outcomes$"):
+        u.check_space(U4)
+    assert CoherentUtility.from_scenarios(ScenarioSet.of([[0.25] * 4, [1, 0, 0, 0]])).check_space(U4) is None
+
+
+def test_check_space_refuses_a_product_utility_off_its_grid():
+    space, filt = product_space(2, 2)
+    u = CoherentUtility.product_example(2, 2)
+    assert u.check_space(space, filt) is None and u.check_space(U4) is None
+    skewed = OutcomeSpace.from_masses([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)])
+    one_row = Filtration.two_period(U4, [[0, 1, 2, 3]])
+    for space, filt in ((U3, None), (OutcomeSpace.uniform(8), None), (skewed, None), (U4, one_row)):
+        with pytest.raises(ValueError, match="product grid mismatch"):
+            u.check_space(space, filt)
+
+
+@given(st.sampled_from(ALL_KINDS), st.lists(MASS.filter(bool), min_size=1, max_size=7))
+def test_check_space_passes_every_distortion_on_any_space(psi, masses):
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), tuple(masses))
+    blocks = [list(range(len(masses)))]
+    assert CoherentUtility.from_distortion(psi).check_space(space) is None
+    assert CoherentUtility.from_distortion(psi).check_space(space, Filtration.two_period(space, blocks)) is None
+
+
+@st.composite
+def exact_scenario_blocks(draw):
+    """1-4 measures of Fraction or int entries on n outcomes, zeros common and
+    one weight in seven 10**400, so that some block masses underflow float64;
+    and a nonempty block."""
+    n = draw(st.integers(1, 6))
+    weight = st.sampled_from([0, 0, 0, 1, 2, 3, 5, 7, 10**400])
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        raw = draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+        if draw(st.booleans()):
+            rows.append(tuple(Fraction(w, sum(raw)) for w in raw))
+        else:
+            rows.append(tuple(int(i == raw.index(max(raw))) for i in range(n)))
+    block = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+    return ScenarioSet.of(rows), block
+
+
+@given(exact_scenario_blocks())
+def test_scenario_given_conditions_exact_rows_like_p(case):
+    s, block = case
+    charging = [(q, sum(Fraction(q[i]) for i in block)) for q in s.measures]
+    charging = [(q, mass) for q, mass in charging if mass > 0]
+    conditioned = s.given(block)
+    if not charging:
+        assert conditioned is None
+        return
+    assert conditioned.size == len(charging)
+    for (q, mass), row, floats in zip(charging, conditioned.measures, conditioned.float_rows):
+        want = tuple(Fraction(q[i]) / mass for i in block)
+        assert floats == tuple(float(v) for v in want)
+        if all(isinstance(v, Fraction) for v in q):
+            assert row == want and all(type(v) is Fraction for v in row)

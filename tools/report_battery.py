@@ -39,9 +39,13 @@ two blocks of masses 1..14, which is refused before any grid search. Then
 space whose masses have denominators 5, 7, 4, 35, 15 and 12 (lcm 420), of
 the expectation, es(1/2), es(2/3), power(1/2) and piecewise and of a
 scenario set with float entries, and last `validate` of a scenario set on
-space_4 with the exact entry -1/10**13, which is refused. That makes 432
-commands. Help and usage text wraps at the terminal width, so
-the battery runs at COLUMNS=80.
+space_4 with the exact entry -1/10**13, which is refused. Then
+`tc-check --probes 20` and `cone-check --probes 20`, in text and csv, of
+the scenario set {P} on the underflow space and of a two-measure exact set
+with non-dyadic entries on a space of masses 1/5, 1/7, 3/10, 5/14, and
+last `validate` of utility files with an unknown key at the top level and
+inside `utility`. That makes 442 commands. Help and usage text wraps at
+the terminal width, so the battery runs at COLUMNS=80.
 
 `--against REV` exports REV's src/ with `git archive` into a temporary
 directory, runs this same command list there in a subprocess with
@@ -123,6 +127,17 @@ MIXED = {  # masses over mixed denominators, so the integer weights' scale is 42
         [0.25, 0.25, 0.125, 0.125, 0.125, 0.125], [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]]}},
     "utility_scenario_tiny_negative.json": {"utility": {"kind": "scenario", "measures": [
         [[-1, 10**13], [1, 4], [1, 4], [5 * 10**12 + 1, 10**13]]]}},
+}
+EXACT_SCENARIOS = {  # scenario sets conditioned exactly: {P} where a block mass underflows, non-dyadic entries
+    "utility_scenario_underflow_p.json": {"utility": {"kind": "scenario",
+                                                      "measures": [UNDERFLOW["underflow.json"]["masses"]]}},
+    "non_dyadic.json": {"masses": [[1, 5], [1, 7], [3, 10], [5, 14]], "f1_blocks": [[0, 2], [1, 3]]},
+    "utility_scenario_non_dyadic.json": {"utility": {"kind": "scenario", "measures": [
+        [[1, 3], [1, 6], [1, 5], [3, 10]], [[1, 7], [2, 7], [3, 14], [5, 14]]]}},
+}
+UNKNOWN_KEYS = {
+    "utility_unknown_top_level.json": {"utility": {"kind": "es", "alpha": [1, 2]}, "note": "x"},
+    "utility_unknown_field.json": {"utility": {"kind": "es", "alpha": [1, 2], "alpah": [1, 4]}},
 }
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
@@ -281,7 +296,19 @@ def mixed() -> list[list[str]]:
                     "utility_power_half.json", "utility_piecewise.json", "utility_scenario_floats.json"):
         both = ["--space", "mixed_denominators.json", "--utility", utility, "--probes", "20"]
         cmds += [[command, *both, *fmt] for command in ("cone-check", "tc-check") for fmt in FORMATS]
-    return cmds + [["validate", "--space", "space_4.json", "--utility", "utility_scenario_tiny_negative.json"]]
+    cmds.append(["validate", "--space", "space_4.json", "--utility", "utility_scenario_tiny_negative.json"])
+    return cmds + exact_scenarios()
+
+
+def exact_scenarios() -> list[list[str]]:
+    """`tc-check` and `cone-check` of exact scenario sets, whose blocks are
+    conditioned as P is, then utility files with an unknown key."""
+    cmds = []
+    for space, utility in (("underflow.json", "utility_scenario_underflow_p.json"),
+                           ("non_dyadic.json", "utility_scenario_non_dyadic.json")):
+        both = ["--space", space, "--utility", utility, "--probes", "20"]
+        cmds += [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
+    return cmds + [["validate", "--space", "space_4.json", "--utility", name] for name in UNKNOWN_KEYS]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -305,7 +332,7 @@ def fingerprints() -> list[str]:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
-                          **REFUSED_BEFORE_GRID, **MIXED}.items():
+                          **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
