@@ -50,8 +50,7 @@ __all__ = [
 
 Scalar = Union[Fraction, float]
 
-# floating-point distortions (power, piecewise) are evaluated to roughly
-# 1e-12; rational kinds (expectation, es) are exact at rational arguments.
+# power and piecewise psi are floats, good to about 1e-12; expectation and es are exact
 FLOAT_PSI_TOL = 1e-12
 _ZERO = Fraction(0)  # Fractions are immutable, so every exact sum may start from this one
 
@@ -60,9 +59,8 @@ _ZERO = Fraction(0)  # Fractions are immutable, so every exact sum may start fro
 class DistortionFunction:
     """Convex distortion psi: [0,1] -> [0,1] with psi(0)=0 and psi(1)=1.
 
-    kind is one of "expectation", "es", "power", "piecewise". The es level
-    is kept as an exact Fraction so that psi of a rational argument is again
-    a Fraction; power and piecewise evaluate in floating point.
+    kind is one of "expectation", "es", "power", "piecewise". es keeps its
+    level a Fraction and its formula in psi_at alone; power and piecewise are floats.
     """
 
     kind: str
@@ -120,11 +118,13 @@ class DistortionFunction:
         return cls("piecewise", knots=tuple((float(p), float(y)) for p, y in knots))
 
     def psi(self, p: Scalar) -> Scalar:
+        """psi(p): for es the exact Fraction view of psi_at, an int or float p taken exactly."""
         if self.kind == "expectation":
             return p
         if self.kind == "es":
-            q = ((p if isinstance(p, Fraction) else Fraction(p)) - (1 - self.alpha)) / self.alpha
-            return q if q > 0 else _ZERO
+            p = p if isinstance(p, Fraction) else Fraction(p)
+            num, den = self.psi_at(p.numerator, p.denominator)
+            return Fraction(num, den) if num else _ZERO
         if self.kind == "power":
             return float(p) ** (1.0 + self.alpha)
         pf = float(p)
@@ -134,9 +134,9 @@ class DistortionFunction:
         return y0 + (y1 - y0) * (pf - p0) / (p1 - p0)
 
     def psi_at(self, s: int, w: int) -> tuple[int, int] | tuple[float, None]:
-        """psi(s / w) for integers s >= 0, w > 0, as (numerator, denominator): exact
-        ints for the rational kinds, es(a/b) giving max(0, b*s - (b-a)*w) over
-        a*w; for power and piecewise the float psi(s / w) over None."""
+        """psi(s / w) for integers s >= 0, w > 0 as (numerator, denominator): ints
+        for the rational kinds, es(a/b) giving max(0, b*s - (b-a)*w) over a*w,
+        its one formula; for power and piecewise the float psi(s / w) and None."""
         if self.kind == "expectation":
             return s, w
         if self.kind == "es":

@@ -1,0 +1,50 @@
+"""The developer tools under tools/: the report battery's revision export and
+the pair summary of tools/bench_pairs.py."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_pairs  # noqa: E402
+
+
+def test_report_battery_against_an_unknown_revision_prints_one_line_and_exits_2():
+    # the failed `git archive` used to escape as a CalledProcessError traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "report_battery.py"), "--against", "nosuchrev"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot export nosuchrev: ")
+    assert "nosuchrev" in lines[0][len("cannot export nosuchrev: "):]
+
+
+def _run(pair, side, wall, rss):
+    return {"pair": pair, "side": side, "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                                    "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_bench_pairs_summary_counts_wins_by_direction_and_checks_each_bound():
+    runs = []
+    for pair, (pw, cw, prss, crss) in enumerate([(1.0, 0.8, 50.0, 56.0), (1.2, 0.9, 52.0, 57.0),
+                                                 (1.1, 1.15, 51.0, 55.0)]):
+        runs += [_run(pair, "parent", pw, prss), _run(pair, "change", cw, crss)]
+    summary = bench_pairs.summarize(runs)
+    wall, rss = summary["wall_s"], summary["peak_rss_mb"]
+    assert wall["parent"] == {"median": 1.1, "q1": pytest.approx(1.05), "q3": pytest.approx(1.15)}
+    assert wall["change_wins"] == 2 and wall["pairs"] == 3
+    assert wall["change_over_parent"] == pytest.approx(0.9 / 1.1)
+    assert wall["bound"] == 0.25 and wall["within_bound"]
+    assert wall["median_diff"] == pytest.approx(0.2) and wall["parent_iqr"] == pytest.approx(0.1)
+    # +9.8% against a +10% bound is within; the change lost every pair
+    assert rss["change_wins"] == 0 and rss["within_bound"]
+    assert rss["change_over_parent"] == pytest.approx(56.0 / 51.0)
+    runs[1]["metrics"]["peak_rss_mb"]["value"] = runs[3]["metrics"]["peak_rss_mb"]["value"] = 60.0
+    assert not bench_pairs.summarize(runs)["peak_rss_mb"]["within_bound"]

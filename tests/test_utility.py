@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskcal import (
@@ -487,6 +487,55 @@ def test_es_psi_returns_a_fraction_for_float_int_and_fraction_arguments(p):
         got = psi.psi(p)
         assert type(got) is Fraction
         assert got == es_psi_reference(psi, p)
+
+
+# es levels a/b with b up to 10**6: dyadic, non-dyadic, and a = b (the expectation's psi)
+ES_LEVEL = st.integers(1, 10**6).flatmap(lambda b: st.integers(1, b).map(lambda a: DistortionFunction.es((a, b))))
+HUGE = 10**400  # denominators far past float64's range, so no level rounds on the way
+
+
+@st.composite
+def wide_levels(draw):
+    """An es level and an argument p in [0, 1]: a Fraction s/w with w up to 10**400, a float or an int."""
+    kind = draw(st.sampled_from(["fraction", "float", "int"]))
+    if kind == "fraction":
+        w = draw(st.integers(1, HUGE))
+        p = Fraction(draw(st.integers(0, w)), w)
+    elif kind == "float":
+        p = draw(st.floats(0.0, 1.0))
+    else:
+        p = draw(st.integers(0, 1))
+    return draw(ES_LEVEL), p
+
+
+@st.composite
+def wide_mass_cases(draw):
+    """An es level, tie-heavy payoffs and masses k_i / sum(k) with k_i up to 10**400."""
+    n = draw(st.integers(1, 7))
+    ks = draw(st.lists(st.integers(1, HUGE) | st.integers(1, 7), min_size=n, max_size=n))
+    values = tuple(draw(st.lists(TIE_VALUE | st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return draw(ES_LEVEL), values, tuple(Fraction(k, sum(ks)) for k in ks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_levels())
+@example((DistortionFunction.es((2, 7)), Fraction(5, 7)))
+@example((DistortionFunction.es((2, 7)), Fraction(5 * HUGE + 1, 7 * HUGE)))
+@example((DistortionFunction.es((999_983, 10**6)), 1))
+def test_es_psi_equals_the_fraction_formula_at_levels_up_to_1e6_and_arguments_over_1e400(case):
+    psi, p = case
+    got = psi.psi(p)
+    assert type(got) is Fraction
+    assert got == es_psi_reference(psi, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_mass_cases())
+def test_choquet_matches_the_fraction_reference_bit_for_bit_on_masses_over_1e400(case):
+    psi, values, masses = case
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), masses)
+    got, want = choquet_eval(RandomVariable(values), psi, space), choquet_reference(values, masses, psi)
+    assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("values", [[1, 2, 3], [1, 2, 3, 4, 100]], ids=["short", "long"])

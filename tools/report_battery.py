@@ -43,14 +43,19 @@ space_4 with the exact entry -1/10**13, which is refused. Then
 `tc-check --probes 20` and `cone-check --probes 20`, in text and csv, of
 the scenario set {P} on the underflow space and of a two-measure exact set
 with non-dyadic entries on a space of masses 1/5, 1/7, 3/10, 5/14, and
-last `validate` of utility files with an unknown key at the top level and
-inside `utility`. That makes 442 commands. Help and usage text wraps at
+`validate` of utility files with an unknown key at the top level and
+inside `utility`. Last come `eval` and `tc-check --probes 20`, in text and
+csv, of es(1/4) and of the non-dyadic es(2/7) on space_12 and
+space_product_64, and `cone-check --probes 20` of es(2/7) on space_8.
+That makes 460 commands. Help and usage text wraps at
 the terminal width, so the battery runs at COLUMNS=80.
 
 `--against REV` exports REV's src/ with `git archive` into a temporary
 directory, runs this same command list there in a subprocess with
 PYTHONPATH set to that tree, and prints each command whose line differs
-from this checkout's. It exits 1 if any does and 0 otherwise.
+from this checkout's. It exits 1 if any does and 0 otherwise. If git
+cannot export REV, it prints `cannot export REV: <git's message>` and exits
+2 before running any command.
 """
 
 from __future__ import annotations
@@ -63,12 +68,11 @@ import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 import traceback
-from pathlib import Path
 
 import riskcal.cli
+from git_export import export
 from riskcal.io import load_space_file, packaged_data_path
 
 SPACES = ["space_4.json", "space_8.json", "space_12.json", "space_product_64.json"]
@@ -139,6 +143,7 @@ UNKNOWN_KEYS = {
     "utility_unknown_top_level.json": {"utility": {"kind": "es", "alpha": [1, 2]}, "note": "x"},
     "utility_unknown_field.json": {"utility": {"kind": "es", "alpha": [1, 2], "alpah": [1, 4]}},
 }
+NON_DYADIC_ES = {"utility_es_two_sevenths.json": {"utility": {"kind": "es", "alpha": [2, 7]}}}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -308,7 +313,21 @@ def exact_scenarios() -> list[list[str]]:
                            ("non_dyadic.json", "utility_scenario_non_dyadic.json")):
         both = ["--space", space, "--utility", utility, "--probes", "20"]
         cmds += [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
-    return cmds + [["validate", "--space", "space_4.json", "--utility", name] for name in UNKNOWN_KEYS]
+    cmds += [["validate", "--space", "space_4.json", "--utility", name] for name in UNKNOWN_KEYS]
+    return cmds + es_levels()
+
+
+def es_levels() -> list[list[str]]:
+    """`eval` and `tc-check` of a dyadic and a non-dyadic es level on the
+    larger shipped spaces, then `cone-check` of the non-dyadic one."""
+    cmds = []
+    for space in ("space_12.json", "space_product_64.json"):
+        for utility in ("utility_es_quarter.json", *NON_DYADIC_ES):
+            both = ["--space", space, "--utility", utility]
+            cmds += [[*cmd, *fmt] for cmd in (["eval", *both], ["tc-check", *both, "--probes", "20"])
+                     for fmt in FORMATS]
+    both = ["--space", "space_8.json", "--utility", *NON_DYADIC_ES, "--probes", "20"]
+    return cmds + [["cone-check", *both, *fmt] for fmt in FORMATS]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -332,7 +351,8 @@ def fingerprints() -> list[str]:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
-                          **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS}.items():
+                          **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
+                          **NON_DYADIC_ES}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         os.mkdir(os.path.join(work, DIRECTORY))
@@ -349,15 +369,13 @@ def fingerprints() -> list[str]:
     return lines
 
 
-def against(rev: str, lines: list[str]) -> int:
-    """Run this battery on `rev`'s src/ in a subprocess; print each command
-    whose line differs from `lines`. 1 if any does, else 0."""
-    root = Path(__file__).resolve().parents[1]
-    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
-                             capture_output=True, check=True).stdout
+def against(rev: str) -> int:
+    """Run this battery here and on `rev`'s src/ in a subprocess; print each
+    command whose line differs. 1 if any does, else 0; 2 if `rev` cannot be
+    exported, checked before any command runs."""
     with tempfile.TemporaryDirectory() as tree:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree, filter="data")
+        export(rev, tree, "src")
+        lines = fingerprints()
         env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
         theirs = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
                                 check=True).stdout.splitlines()[:-1]
@@ -377,9 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="run the list on REV's src/ too and print only the commands whose report differs")
     args = parser.parse_args(argv)
-    lines = fingerprints()
     if args.against:
-        return against(args.against, lines)
+        return against(args.against)
+    lines = fingerprints()
     total = hashlib.sha256()
     for line in lines:
         total.update(line.split("  ", 1)[0].encode())
