@@ -8,7 +8,10 @@ scenario measure charges a block, the conditional expectation stands in
 and the block is flagged. Recomposition feeds the resulting F1-measurable
 payoff back through the base utility; the absolute gap between the direct
 two-period value and the recomposed one is the time-inconsistency
-certificate this module reports.
+certificate this module reports. A distortion base values an F1-measurable
+payoff on the F1 quotient, one outcome per block with its exact mass,
+which gives the full-space Choquet value bit for bit; a scenario base
+values it on the outcomes, since lumping float rows would move last bits.
 
 The cone test asks the same question in decomposition form: an acceptable
 x splits as x = eta + zeta with eta F1-measurable acceptable today and
@@ -66,7 +69,8 @@ class ConditionalUtility:
     """A base utility bound to a space and a two-period filtration; the
     cached `conditioned` holds CoherentUtility.given's (utility, law,
     fallback) for each F1 block, built on first use so that no probe
-    conditions a block again."""
+    conditions a block again, and the cached `quotient` has one outcome per
+    F1 block, in f1.blocks order, with the block's exact mass."""
 
     base: CoherentUtility
     space: OutcomeSpace
@@ -83,6 +87,11 @@ class ConditionalUtility:
     @cached_property
     def conditioned(self) -> dict[tuple[int, ...], tuple[CoherentUtility, OutcomeSpace, bool]]:
         return {b: self.base.given(self.space, b) for b in self.filtration.f1.blocks}
+
+    @cached_property
+    def quotient(self) -> OutcomeSpace:
+        blocks = self.filtration.f1.blocks
+        return OutcomeSpace(tuple(f"b{j}" for j in range(len(blocks))), tuple(map(self.space.mass_of, blocks)))
 
 
 @dataclass(frozen=True)
@@ -125,17 +134,35 @@ def conditional_eval_with_flags(
     cu: ConditionalUtility, x: RandomVariable
 ) -> tuple[RandomVariable, tuple[int, ...]]:
     """conditional_eval plus the block indices where the scenario fallback fired."""
+    values, fallbacks = _block_values(cu, x)
+    return RandomVariable.from_block_values(values, cu.filtration.f1, cu.space.size), fallbacks
+
+
+def _block_values(cu: ConditionalUtility, x: RandomVariable) -> tuple[list[float], tuple[int, ...]]:
+    """The conditional utility of x on each F1 block, in f1.blocks order, and the fallback blocks."""
     if len(x.values) != cu.space.size:
         raise ValueError(f"payoff has {len(x.values)} entries for {cu.space.size} outcomes")
-    out = [0.0] * cu.space.size
+    values: list[float] = []
     fallbacks: list[int] = []
     for bi, (block, (u, law, fallback)) in enumerate(cu.conditioned.items()):
         if fallback:
             fallbacks.append(bi)
-        v = u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law)
-        for i in block:
-            out[i] = v
-    return RandomVariable(tuple(out)), tuple(fallbacks)
+        values.append(u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law))
+    return values, tuple(fallbacks)
+
+
+def _measurable_value(cu: ConditionalUtility, values) -> float:
+    """Today's utility of the F1-measurable payoff worth values[j] on block j.
+
+    A distortion base integrates over `quotient`: the Choquet tie table sums
+    the same exact masses over the same distinct levels as on the outcomes,
+    so the value is the full-space one bit for bit. A scenario base
+    evaluates on the outcomes, where its float rows are summed as they are.
+    """
+    if cu.base.kind == "distortion":
+        return cu.base.evaluate(RandomVariable(tuple(values)), cu.quotient)
+    x = RandomVariable.from_block_values(values, cu.filtration.f1, cu.space.size)
+    return cu.base.evaluate(x, cu.space, cu.filtration)
 
 
 def two_period_eval(cu: ConditionalUtility, x: RandomVariable) -> float:
@@ -146,10 +173,12 @@ def two_period_eval(cu: ConditionalUtility, x: RandomVariable) -> float:
 def recompose(cu: ConditionalUtility, x: RandomVariable) -> float:
     """Today's utility of the conditional utility.
 
-    The intermediate payoff is F1-measurable, so evaluating the base on the
-    full space coincides with evaluating it on the quotient space of blocks.
+    The intermediate payoff is F1-measurable, so a distortion base evaluates
+    it on the quotient space of blocks, one outcome per block, with the value
+    it has on the full space bit for bit; a scenario base evaluates it on the
+    full space.
     """
-    return cu.base.evaluate(conditional_eval(cu, x), cu.space, cu.filtration)
+    return _measurable_value(cu, _block_values(cu, x)[0])
 
 
 def crafted_ladder(space: OutcomeSpace) -> RandomVariable:
@@ -282,9 +311,9 @@ def _cone_split(
         raise ValueError(f"not acceptable: u02(x) = {direct}")
 
     eta_cap = [core_bound(cu, x, block) for block in cu.filtration.f1.blocks]
-    eta = RandomVariable.from_block_values(eta_cap, cu.filtration.f1, cu.space.size)
-    if cu.base.evaluate(eta, cu.space, cu.filtration) < -1e-12:
+    if _measurable_value(cu, eta_cap) < -1e-12:
         return False, None
+    eta = RandomVariable.from_block_values(eta_cap, cu.filtration.f1, cu.space.size)
 
     # zeta = x - eta, nudged so eta + zeta reproduces x bit for bit
     zeta = []

@@ -15,7 +15,8 @@ A utility file wraps one utility description:
     {"utility": {"kind": "product", "k_alpha": 8, "k_x": 8}}
 
 Scenario measure entries may be [num, den] pairs or plain numbers; JSON
-true and false are never numbers. Both file kinds refuse unknown keys.
+true and false are never numbers. Both file kinds refuse unknown keys, and
+every JSON document read here refuses a key repeated in one object.
 Schema violations raise SchemaError carrying the offending field (and the
 line for JSON syntax errors), which the CLI turns into exit status 2.
 
@@ -67,9 +68,19 @@ class SchemaError(ValueError):
 
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e.msg}", line=e.lineno) from e
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key, which json.loads would let the last one win."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _is_number(value, kinds=(int, float)) -> bool:

@@ -668,3 +668,76 @@ def test_scenario_set_of_p_charges_a_block_whose_float_mass_underflows():
     x = RandomVariable.of([1.0, -0.5, 0.25, -1.0])
     assert conditional_eval_with_flags(p_only, x)[1] == ()
     assert core_bound(p_only, x, [0, 3]) == core_bound(ConditionalUtility(EXPECT, UNDERFLOW, filt), x, [0, 3]) == 0.0
+
+
+# ------------------------------------------- recomposition on the F1 quotient
+
+QUOTIENT_BASES = [
+    EXPECT,
+    ES_HALF,
+    CoherentUtility.from_distortion(DistortionFunction.es((2, 7))),
+    CoherentUtility.from_distortion(DistortionFunction.power(0.5)),
+    CoherentUtility.from_distortion(DistortionFunction.piecewise([(0, 0), (0.5, 0.25), (1, 1)])),
+]
+
+
+def _full_space_recompose(cu, x) -> float:
+    """Today's utility of conditional_eval(x), evaluated on every outcome."""
+    return cu.base.evaluate(conditional_eval(cu, x), cu.space, cu.filtration)
+
+
+def _full_space_cone_split(cu, x):
+    """cone_decompose with eta's acceptability evaluated on every outcome."""
+    eta_cap = [core_bound(cu, x, block) for block in cu.filtration.f1.blocks]
+    eta = RandomVariable.from_block_values(eta_cap, cu.filtration.f1, cu.space.size)
+    if cu.base.evaluate(eta, cu.space, cu.filtration) < -1e-12:
+        return False, None
+    zeta = []
+    for i, xv in enumerate(x.values):
+        z = xv - eta.values[i]
+        for _ in range(3):
+            r = xv - (eta.values[i] + z)
+            if r == 0.0:
+                break
+            z += r
+        zeta.append(z)
+    return True, (eta, RandomVariable(tuple(zeta)))
+
+
+@st.composite
+def _quotient_cases(draw):
+    """A space of 2..12 outcomes with masses over mixed denominators, 1-4 F1
+    blocks whose outcomes interleave, unsorted, listed in a drawn order, one
+    of five distortion bases and payoffs from a small set holding 0.0 and
+    -0.0, so that blocks tie with each other."""
+    n = draw(st.integers(2, 12))
+    masses = draw(st.lists(st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12),
+                           min_size=n, max_size=n))
+    total = sum(masses, Fraction(0))
+    space = OutcomeSpace.from_masses([m / total for m in masses])
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(4, n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    blocks = draw(st.permutations([order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]))
+    base = draw(st.sampled_from(QUOTIENT_BASES))
+    value = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1 / 3])
+    payoffs = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4))
+    cu = ConditionalUtility(base, space, Filtration.two_period(space, blocks))
+    return cu, [RandomVariable.of(v) for v in payoffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotient_cases())
+@example((ConditionalUtility(QUOTIENT_BASES[2], UNDERFLOW, Filtration.two_period(UNDERFLOW, [[2, 1], [3, 0]])),
+          [RandomVariable.of([1.0, -0.5, 0.25, -1.0]), RandomVariable.of([-0.0, 0.5, 0.5, -0.0])]))
+def test_recompose_on_the_quotient_equals_the_full_space_value(case):
+    cu, payoffs = case
+    for x in payoffs:
+        shifted = RandomVariable.of([v - min(x.values) for v in x.values])  # >= 0, so acceptable
+        for y in (x, shifted):
+            got, want = recompose(cu, y), _full_space_recompose(cu, y)
+            assert got == want and repr(got) == repr(want)  # repr tells 0.0 from -0.0
+            if two_period_eval(cu, y) >= 0.0:
+                feasible, witness = cone_decompose(cu, y)
+                want_feasible, want_witness = _full_space_cone_split(cu, y)
+                assert feasible == want_feasible and witness == want_witness

@@ -1222,3 +1222,49 @@ def test_cli_refuses_a_utility_file_with_unknown_keys(command, case, tmp_path, c
     code, out, err = run_cli([*command, "--space", data("space_4.json"), "--utility", str(path)], capsys)
     _assert_input_error(code, out, err)
     assert err == f"input error: unknown keys {keys} (field {field!r})\n"
+
+
+# ------------------------------------------------------ duplicate JSON keys
+
+# json.loads lets the last of a repeated key win: the first file validated as es(1/4) with exit 0,
+# the second with its second F1 partition
+DUPLICATE_KEYS = {
+    "utility_field": ("utility", '{"utility": {"kind": "es", "alpha": [1, 2], "alpha": [1, 4]}}', "alpha"),
+    "utility_top_level": ("utility", '{"utility": {"kind": "expectation"}, "utility": {"kind": "es", "alpha": [1, 2]}}',
+                          "utility"),
+    "space_f1_blocks": ("space", '{"masses": [[1, 4], [1, 4], [1, 4], [1, 4]], "f1_blocks": [[0, 1], [2, 3]], '
+                                 '"f1_blocks": [[0, 1, 2, 3]]}', "f1_blocks"),
+    "space_inside_a_list": ("space", '{"masses": [[1, 2], {"n": 1, "n": 2}], "f1_blocks": [[0, 1]]}', "n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_KEYS))
+def test_parsers_refuse_a_repeated_key_at_any_depth(case):
+    kind, text, key = DUPLICATE_KEYS[case]
+    parse = parse_space if kind == "space" else parse_utility
+    with pytest.raises(SchemaError, match=re.escape(f"duplicate key {key!r}") + "$"):
+        parse(text)
+
+
+def test_parse_report_refuses_a_repeated_key():
+    with pytest.raises(SchemaError, match=r"^duplicate key 'seed'$"):
+        parse_report('{"command": "eval", "seed": 1, "seed": 2, "tolerance": 1e-9}')
+
+
+def test_parsers_still_take_the_same_key_in_different_objects():
+    space, filt = parse_space('{"masses": [[1, 2], [1, 2]], "f1_blocks": [[0], [1]], "labels": ["a", "b"]}')
+    assert filt.f1.blocks == ((0,), (1,))
+    u = parse_utility('{"utility": {"kind": "scenario", "measures": [[[1, 2], [1, 2]], [[1, 4], [3, 4]]]}}')
+    assert u.scenarios.size == 2
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_KEYS))
+@pytest.mark.parametrize("command", [["validate"], ["eval"], ["tc-check", "--probes", "5"]])
+def test_cli_refuses_a_file_with_a_repeated_key(command, case, tmp_path, capsys):
+    kind, text, key = DUPLICATE_KEYS[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    files = {"space": data("space_4.json"), "utility": data("utility_es_half.json"), kind: str(path)}
+    code, out, err = run_cli([*command, "--space", files["space"], "--utility", files["utility"]], capsys)
+    _assert_input_error(code, out, err)
+    assert err == f"input error: duplicate key {key!r}\n"

@@ -48,3 +48,20 @@ def test_bench_pairs_summary_counts_wins_by_direction_and_checks_each_bound():
     assert rss["change_over_parent"] == pytest.approx(56.0 / 51.0)
     runs[1]["metrics"]["peak_rss_mb"]["value"] = runs[3]["metrics"]["peak_rss_mb"]["value"] = 60.0
     assert not bench_pairs.summarize(runs)["peak_rss_mb"]["within_bound"]
+
+
+def test_bench_pairs_summary_reads_passes_and_the_rss_slope_per_kept_pass():
+    # peak RSS exactly 40 MB + 0.25 MB per kept pass: the slope over all runs is 0.25
+    runs = []
+    for pair, (p_passes, c_passes) in enumerate([(10, 14), (12, 15), (11, 13)]):
+        for side, passes in (("parent", p_passes), ("change", c_passes)):
+            run = _run(pair, side, 1.0, 40.0 + 0.25 * passes)
+            runs.append({**run, "passes": passes})
+    summary = bench_pairs.summarize(runs)
+    assert summary["passes"]["parent"]["median"] == 11 and summary["passes"]["change"]["median"] == 14
+    assert summary["passes"]["change_wins"] == 3  # more passes in the same run length is better
+    assert summary["peak_rss_mb"]["mb_per_pass"] == pytest.approx(0.25)
+    assert summary["peak_rss_mb"]["slope_runs"] == 6
+    # runs that note no pass count, or all the same one, give no slope
+    assert "mb_per_pass" not in bench_pairs.summarize([{**r, "passes": 12} for r in runs])["peak_rss_mb"]
+    assert "passes" not in bench_pairs.summarize([_run(r["pair"], r["side"], 1.0, 50.0) for r in runs])

@@ -11,10 +11,14 @@ change side. Within
 a pair both sides use the same seed and the run length of BENCHMARK.json;
 the side that runs first alternates, the parent first in pair 0.
 
-For each metric of the runs' result lines it prints each side's median and
-quartiles, how many pairs the change won (ties count for neither), the ratio
-of the medians change/parent, and for the end-to-end metrics of
-BENCHMARK.json whether that ratio stays within the metric's bound. `--out`
+For each metric of the runs' result lines, and for the number of passes
+each run kept, it prints each side's median and quartiles, how many pairs
+the change won (ties count for neither), the ratio of the medians
+change/parent, and for the end-to-end metrics of BENCHMARK.json whether
+that ratio stays within the metric's bound. Since perfbench/run.py keeps
+every pass's reports, peak_rss_mb grows with the passes a faster side
+keeps: over all runs of the invocation it prints the least-squares slope of
+peak_rss_mb against passes (MB per kept pass) and its run count. `--out`
 writes the runs and that summary as JSON. Exits 1 if any run is not
 `correct` or failed commands, else 0; 2 if REV cannot be exported.
 """
@@ -32,7 +36,8 @@ from git_export import ROOT, copy_worktree, export
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BOUNDS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
-BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+# a run of fixed length keeps more passes the faster its side is
+BETTER = {"passes": "higher", **{m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}}
 
 
 def run_argv(workload: str, seed: int, trace: int) -> list[str]:
@@ -65,15 +70,21 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, the change's pair wins,
-    the change/parent ratio of medians and, for end-to-end metrics, the bound."""
+    """Per metric, and for `passes` when the runs note it: each side's median
+    and quartiles, the change's pair wins, the change/parent ratio of medians
+    and, for end-to-end metrics, the bound. The peak_rss_mb row also gets
+    `mb_per_pass` and `slope_runs`, the least-squares slope of peak_rss_mb
+    against passes over every run, when the runs kept more than one count."""
     pairs: dict[int, dict] = {}
     for run in runs:
-        pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+        values = {name: m["value"] for name, m in run["metrics"].items()}
+        if "passes" in run:
+            values["passes"] = run["passes"]
+        pairs.setdefault(run["pair"], {})[run["side"]] = values
     summary = {}
-    for name in runs[0]["metrics"]:
-        parent = [sides["parent"][name]["value"] for sides in pairs.values()]
-        change = [sides["change"][name]["value"] for sides in pairs.values()]
+    for name in next(iter(pairs.values()))["parent"]:
+        parent = [sides["parent"][name] for sides in pairs.values()]
+        change = [sides["change"][name] for sides in pairs.values()]
         better = BETTER.get(name, "lower")
         sign = 1 if better == "lower" else -1
         p, c = quartiles(parent), quartiles(change)
@@ -92,6 +103,12 @@ def summarize(runs: list[dict]) -> dict:
             row["bound"] = bound
             row["within_bound"] = ratio <= 1 + bound if better == "lower" else ratio >= 1 - bound
         summary[name] = row
+    if "peak_rss_mb" in summary and "passes" in summary:
+        passes = [run["passes"] for run in runs]
+        if len(set(passes)) > 1:
+            rss = [run["metrics"]["peak_rss_mb"]["value"] for run in runs]
+            summary["peak_rss_mb"]["mb_per_pass"] = statistics.linear_regression(passes, rss).slope
+            summary["peak_rss_mb"]["slope_runs"] = len(runs)
     return summary
 
 
@@ -107,6 +124,9 @@ def print_summary(summary: dict) -> None:
             bound = f"{'within' if row['within_bound'] else 'OUTSIDE'} {row['bound']:g}"
         print(f"{name:40s} {sides[0]:>32s} {sides[1]:>32s} {row['change_wins']:>3d}/{row['pairs']:<3d} "
               f"{ratio:>7s}  {bound}")
+    rss = summary.get("peak_rss_mb", {})
+    if "mb_per_pass" in rss:
+        print(f"peak_rss_mb per kept pass: {rss['mb_per_pass']:.4g} MB (least squares over {rss['slope_runs']} runs)")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,7 +47,11 @@ with non-dyadic entries on a space of masses 1/5, 1/7, 3/10, 5/14, and
 inside `utility`. Last come `eval` and `tc-check --probes 20`, in text and
 csv, of es(1/4) and of the non-dyadic es(2/7) on space_12 and
 space_product_64, and `cone-check --probes 20` of es(2/7) on space_8.
-That makes 460 commands. Help and usage text wraps at
+After them come `tc-check --probes 20` and `cone-check --probes 20`, in
+text and csv, of the expectation, es(1/2), power(1/2) and piecewise on a
+space of masses 1..6/21 whose F1 blocks [5, 1, 3] and [4, 0, 2] interleave
+out of index order, and `validate` of a space file and a utility file that
+repeat a key. That makes 478 commands. Help and usage text wraps at
 the terminal width, so the battery runs at COLUMNS=80.
 
 `--against REV` exports REV's src/ with `git archive` into a temporary
@@ -144,6 +148,12 @@ UNKNOWN_KEYS = {
     "utility_unknown_field.json": {"utility": {"kind": "es", "alpha": [1, 2], "alpah": [1, 4]}},
 }
 NON_DYADIC_ES = {"utility_es_two_sevenths.json": {"utility": {"kind": "es", "alpha": [2, 7]}}}
+INTERLEAVED = {"interleaved.json": {"masses": [[i, 21] for i in range(1, 7)], "f1_blocks": [[5, 1, 3], [4, 0, 2]]}}
+DUPLICATE_KEYS = {  # written as text, since a dict cannot repeat a key
+    "space_duplicate_key.json": '{"masses": [[1, 4], [1, 4], [1, 4], [1, 4]], "f1_blocks": [[0, 1], [2, 3]], '
+                                '"f1_blocks": [[0, 1, 2, 3]]}',
+    "utility_duplicate_key.json": '{"utility": {"kind": "es", "alpha": [1, 2], "alpha": [1, 4]}}',
+}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -327,7 +337,19 @@ def es_levels() -> list[list[str]]:
             cmds += [[*cmd, *fmt] for cmd in (["eval", *both], ["tc-check", *both, "--probes", "20"])
                      for fmt in FORMATS]
     both = ["--space", "space_8.json", "--utility", *NON_DYADIC_ES, "--probes", "20"]
-    return cmds + [["cone-check", *both, *fmt] for fmt in FORMATS]
+    return cmds + [["cone-check", *both, *fmt] for fmt in FORMATS] + quotient()
+
+
+def quotient() -> list[list[str]]:
+    """`tc-check` and `cone-check` of distortion bases, which recompose on the
+    F1 quotient, on blocks listed out of index order, then files that repeat a key."""
+    cmds = []
+    for utility in ("utility_expectation.json", "utility_es_half.json", "utility_power_half.json",
+                    "utility_piecewise.json"):
+        both = ["--space", *INTERLEAVED, "--utility", utility, "--probes", "20"]
+        cmds += [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
+    space, utility = DUPLICATE_KEYS
+    return cmds + [["validate", "--space", space], ["validate", "--space", "space_4.json", "--utility", utility]]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -352,9 +374,12 @@ def fingerprints() -> list[str]:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
-                          **NON_DYADIC_ES}.items():
+                          **NON_DYADIC_ES, **INTERLEAVED}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+        for name, text in DUPLICATE_KEYS.items():
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         os.mkdir(os.path.join(work, DIRECTORY))
         os.environ["COLUMNS"] = "80"
         here = os.getcwd()
