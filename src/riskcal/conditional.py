@@ -18,10 +18,11 @@ x splits as x = eta + zeta with eta F1-measurable acceptable today and
 zeta conditionally acceptable on every block. Monotonicity collapses that
 search to evaluating the blockwise upper envelope of eta, the core bound
 min{E_Q[x | A] : Q in the dual set, Q(A) > 0} on each block A, so no LP
-solver is needed; witnesses are re-verified numerically before being
-returned. For a scenario base the bound is the minimum over its measures
-conditioned on the block. For a distortion base the dual set is
-the core of psi(P), and the bound is a linear-fractional program over it,
+solver is needed. What is checked is that eta is acceptable; zeta = x - eta
+is conditionally acceptable by construction, and is nudged so that
+eta + zeta == x bit for bit. For a scenario base the bound is the minimum
+over its measures conditioned on the block. For a distortion base the dual
+set is the core of psi(P), and the bound is a linear-fractional program over it,
 solved by Dinkelbach's method (Dinkelbach 1967): each step takes the greedy
 core vertex of (x - t) 1_A, which minimises E_Q over the core, and moves t
 down to its conditional mean, so no core vertex is enumerated and no
@@ -297,8 +298,9 @@ def cone_decompose(
     blockwise upper envelope; no general LP machinery is required. For a
     distortion base the bound comes from Dinkelbach's iteration over greedy
     core vertices, a few sorts per block, so no outcome cap applies.
-    Returns (feasible, (eta, zeta)) with the witness re-verified, or
-    (feasible=False, None).
+    Returns (True, (eta, zeta)) when eta is acceptable, zeta = x - eta being
+    conditionally acceptable by construction and nudged so that
+    eta + zeta == x bit for bit, or (False, None).
     """
     return _cone_split(cu, x, two_period_eval(cu, x))
 
@@ -340,11 +342,6 @@ def conditional_commonotone_additivity_check(
     ok, pair = is_commonotone_pair(x, y, cu.space)
     if not ok:
         raise ValueError(f"inputs are not commonotone: outcomes {pair} order oppositely")
-    cx = conditional_eval(cu, x)
-    cy = conditional_eval(cu, y)
-    cxy = conditional_eval(cu, x + y)
-    gaps = tuple(
-        cxy.values[b[0]] - cx.values[b[0]] - cy.values[b[0]]
-        for b in cu.filtration.f1.blocks
-    )
+    cx, cy, cxy = (_block_values(cu, z)[0] for z in (x, y, x + y))
+    gaps = tuple(s - a - b for a, b, s in zip(cx, cy, cxy))
     return all(abs(g) <= GAP_TOL for g in gaps), gaps

@@ -5,14 +5,14 @@ Given F1-measurable payoffs f and g, build a pair of second-period payoffs
 
     V = {(x, -m): x <= m} u {(m, y): y >= -m},      m = max(|f|, |g|) sup norm,
 
-and reproduces f and g as conditional utilities. Each block's point (f, g)
-is written as a convex combination of the two boundary points cut out by
-the 45-degree line through it; the mixing weight is then realized as the
-conditional utility of an indicator on a uniform-grid set of the right
-conditional mass. Everything degrades gracefully when the weight is not
-exactly representable on the grid: the achieved weight is reported and all
-exactness contracts are stated against it, with the target deviation
-carried separately as snap error.
+and reproduces f and g as conditional utilities, in three steps per block:
+geometry writes the point (f, g) as a convex combination of the two
+boundary points cut out by the 45-degree line through it; the psi inverse
+picks the grid level k/n whose indicator utility psi(k/n) is nearest the
+mixing weight; and the conditional-mass lemma, set_with_conditional_mass,
+gives the set B of that conditional mass. When the weight is not on the
+grid, the achieved weight is reported and every exactness contract is
+stated against it, with the target deviation carried as snap error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditional import ConditionalUtility, conditional_eval, recompose
-from .space import EventSet, RandomVariable, UniformGrid
+from .conditional import ConditionalUtility, _block_values, recompose
+from .space import EventSet, RandomVariable, UniformGrid, set_with_conditional_mass
 from .utility import is_commonotone_pair
 
 __all__ = [
@@ -128,8 +128,9 @@ def find_b(
     the target weight on every block.
 
     With a distortion base, the indicator of a set of conditional mass k/n
-    has conditional utility psi(k/n); inverting that monotone table is the
-    whole search. Ties go to the smaller k.
+    has conditional utility psi(k/n): the search inverts that monotone table
+    on each block, ties going to the smaller k, and set_with_conditional_mass
+    cuts B at the on-grid level k/n, which it takes back to k exactly.
     """
     _require_distortion_base(cu)
     f1 = cu.filtration.f1
@@ -137,23 +138,16 @@ def find_b(
         raise ValueError("lambda_target must be F1-measurable")
     n = grid.resolution
     psi_table = [float(cu.base.distortion.psi(Fraction(k, n))) for k in range(n + 1)]
-    member = [False] * cu.space.size
-    achieved = [0.0] * cu.space.size
+    ks = []
     for block in f1.blocks:
         target = lambda_target.values[block[0]]
         if not -W_TOL <= target <= 1 + W_TOL:  # NaN included
             raise ValueError(f"lambda_target value {target} outside [0, 1]")
-        best_k = 0
-        best_err = abs(psi_table[0] - target)
-        for k in range(1, n + 1):
-            err = abs(psi_table[k] - target)
-            if err < best_err:
-                best_k, best_err = k, err
-        for i in block:
-            achieved[i] = psi_table[best_k]
-            if grid.ranks[i] <= best_k:
-                member[i] = True
-    return EventSet(tuple(member)), RandomVariable(tuple(achieved))
+        ks.append(min(range(n + 1), key=lambda k: abs(psi_table[k] - target)))
+    size = cu.space.size
+    h = RandomVariable.from_block_values([k / n for k in ks], f1, size)
+    b = set_with_conditional_mass(cu.space, cu.filtration, grid, h).event
+    return b, RandomVariable.from_block_values([psi_table[k] for k in ks], f1, size)
 
 
 def lift_pair(
@@ -207,25 +201,15 @@ def lift_pair(
         boundary=boundary,
     )
 
-    u_xi = conditional_eval(cu, pair.xi)
-    u_eta = conditional_eval(cu, pair.eta)
-    u_sum = conditional_eval(cu, pair.xi + pair.eta)
-    err_f, err_g, err_sum = [], [], []
-    snap = 0.0
-    for block in f1.blocks:
-        i = block[0]
-        err_f.append(abs(u_xi.values[i] - f.values[i]))
-        err_g.append(abs(u_eta.values[i] - g.values[i]))
-        err_sum.append(abs(u_sum.values[i] - f.values[i] - g.values[i]))
-        snap = max(snap, abs(lambda_target.values[i] - lambda_achieved.values[i]))
-    diag = LiftDiagnostics(
-        err_f=tuple(err_f),
-        err_g=tuple(err_g),
-        err_sum=tuple(err_sum),
-        snap_error=snap,
+    fs, gs, targets, achieved = ([z.values[b[0]] for b in f1.blocks] for z in (f, g, lambda_target, lambda_achieved))
+    u_xi, u_eta, u_sum = (_block_values(cu, x)[0] for x in (pair.xi, pair.eta, pair.xi + pair.eta))
+    return pair, LiftDiagnostics(
+        err_f=tuple(abs(u - v) for u, v in zip(u_xi, fs)),
+        err_g=tuple(abs(u - v) for u, v in zip(u_eta, gs)),
+        err_sum=tuple(abs(u - v - w) for u, v, w in zip(u_sum, fs, gs)),
+        snap_error=max((abs(t - a) for t, a in zip(targets, achieved)), default=0.0),
         resolution_used=grid.resolution,
     )
-    return pair, diag
 
 
 def additivity_probe(

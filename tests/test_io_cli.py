@@ -211,6 +211,11 @@ def test_parse_report_requires_header_keys():
         assert ei.value.field == missing
 
 
+def test_parse_report_refuses_a_json_array():
+    with pytest.raises(SchemaError, match="report must be a JSON object"):
+        parse_report("[1, 2]")
+
+
 def test_parse_report_csv_round_trip():
     text = emit_report_csv([{"probe_id": 0, "gap": 0.5}], ["probe_id", "gap"])
     rows = parse_report_csv(text)
@@ -512,6 +517,18 @@ def test_cli_tc_check_rejects_non_finite_or_negative_tol(tol, fmt, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage:") and "argument --tol" in captured.err
+
+
+@pytest.mark.parametrize("command,flag,value,kind", [("tc-check", "--tol", "abc", "float"),
+                                                     ("eval", "--probes", "many", "int")])
+def test_cli_refuses_a_flag_value_of_the_wrong_type(command, flag, value, kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--space", data("space_4.json"), "--utility", data("utility_es_half.json"), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert captured.err.endswith(f"error: argument {flag}: invalid {kind} value: '{value}'\n")
 
 
 def test_cli_tc_check_accepts_zero_tol(capsys):

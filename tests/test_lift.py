@@ -1,28 +1,35 @@
 """Geometry, grid inversion, and the commonotone lift contracts."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcal import (
     CoherentUtility,
     ConditionalUtility,
     DistortionFunction,
+    EventSet,
     Filtration,
     GeometryPoint,
+    LiftDiagnostics,
     OutcomeSpace,
+    Partition,
     RandomVariable,
     ScenarioSet,
+    UniformGrid,
     additivity_probe,
     build_uniform_grid,
+    conditional_commonotone_additivity_check,
     conditional_eval,
     find_b,
     geometry_xyl,
     is_commonotone_pair,
     lift_pair,
+    set_with_conditional_mass,
 )
 import riskcal.lift
 
@@ -318,3 +325,138 @@ def test_find_b_refuses_a_nan_target():
     cu = ConditionalUtility(ES_HALF, space, filt)
     with pytest.raises(ValueError, match=r"lambda_target value nan outside \[0, 1\]"):
         find_b(cu, build_uniform_grid(space, filt, 1), RandomVariable.of([float("nan"), 0.5]))
+
+
+# ------------------------------------------- reference: the rank scan and expand-and-read
+
+def reference_find_b(cu, grid, lambda_target):
+    """find_b as a scan of the grid ranks: the first k nearest the target in
+    the psi table, then {rank <= k} on each block."""
+    n = grid.resolution
+    psi_table = [float(cu.base.distortion.psi(Fraction(k, n))) for k in range(n + 1)]
+    member = [False] * cu.space.size
+    achieved = [0.0] * cu.space.size
+    for block in cu.filtration.f1.blocks:
+        target = lambda_target.values[block[0]]
+        best_k = 0
+        best_err = abs(psi_table[0] - target)
+        for k in range(1, n + 1):
+            err = abs(psi_table[k] - target)
+            if err < best_err:
+                best_k, best_err = k, err
+        for i in block:
+            achieved[i] = psi_table[best_k]
+            if grid.ranks[i] <= best_k:
+                member[i] = True
+    return EventSet(tuple(member)), RandomVariable(tuple(achieved))
+
+
+def reference_diagnostics(cu, grid, pair, f, g):
+    """lift_pair's diagnostics read back at block[0] from conditional_eval,
+    which expands each block value to every outcome."""
+    u_xi = conditional_eval(cu, pair.xi)
+    u_eta = conditional_eval(cu, pair.eta)
+    u_sum = conditional_eval(cu, pair.xi + pair.eta)
+    err_f, err_g, err_sum = [], [], []
+    snap = 0.0
+    for block in cu.filtration.f1.blocks:
+        i = block[0]
+        err_f.append(abs(u_xi.values[i] - f.values[i]))
+        err_g.append(abs(u_eta.values[i] - g.values[i]))
+        err_sum.append(abs(u_sum.values[i] - f.values[i] - g.values[i]))
+        snap = max(snap, abs(pair.lambda_target.values[i] - pair.lambda_achieved.values[i]))
+    return LiftDiagnostics(tuple(err_f), tuple(err_g), tuple(err_sum), snap, grid.resolution)
+
+
+def reference_gaps(cu, x, y):
+    cx, cy, cxy = conditional_eval(cu, x), conditional_eval(cu, y), conditional_eval(cu, x + y)
+    return tuple(cxy.values[b[0]] - cx.values[b[0]] - cy.values[b[0]] for b in cu.filtration.f1.blocks)
+
+
+REFERENCE_BASES = [
+    EXPECT,
+    ES_HALF,
+    CoherentUtility.from_distortion(DistortionFunction.es((2, 7))),
+    CoherentUtility.from_distortion(DistortionFunction.power(0.5)),
+    CoherentUtility.from_distortion(DistortionFunction.piecewise([(0, 0), (0.5, 0.25), (1, 1)])),
+]
+
+
+@st.composite
+def split_lifts(draw):
+    """A ConditionalUtility on 1-3 shuffled F1 blocks that each split into n
+    groups of equal mass (n <= 12, a group being one or two outcomes), and
+    the grid that ranks each outcome by its group."""
+    n = draw(st.integers(1, 12))
+    block_weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    total = n * sum(block_weights)
+    masses, ranks, sizes = [], [], []
+    for w in block_weights:
+        parts = []
+        for rank in range(1, n + 1):
+            group = draw(st.sampled_from([(1,), (1, 1), (1, 3), (2, 1)]))
+            parts += [(Fraction(p * w, sum(group) * total), rank) for p in group]
+        parts = draw(st.permutations(parts))
+        masses += [m for m, _ in parts]
+        ranks += [r for _, r in parts]
+        sizes.append(len(parts))
+    order = draw(st.permutations(range(len(masses))))  # position j of the blocks is outcome order[j]
+    where = {i: j for j, i in enumerate(order)}
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(order[start:start + size])
+        start += size
+    space = OutcomeSpace.from_masses([masses[where[i]] for i in range(len(masses))])
+    filt = Filtration.two_period(space, blocks)
+    cu = ConditionalUtility(draw(st.sampled_from(REFERENCE_BASES)), space, filt)
+    return cu, UniformGrid(resolution=n, ranks=tuple(ranks[where[i]] for i in range(len(masses))))
+
+
+def lambda_targets(psi_table):
+    """On-grid weights (the table's own values, ties included), midpoints
+    between neighbours, which tie exactly where representable, and any weight."""
+    mids = [(a + b) / 2 for a, b in zip(psi_table, psi_table[1:])]
+    return st.one_of(st.sampled_from(psi_table), st.sampled_from(mids or psi_table), st.floats(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_find_b_matches_the_rank_scan(data):
+    cu, grid = data.draw(split_lifts())
+    n = grid.resolution
+    psi_table = [float(cu.base.distortion.psi(Fraction(k, n))) for k in range(n + 1)]
+    blocks = cu.filtration.f1.blocks
+    targets = data.draw(st.lists(lambda_targets(psi_table), min_size=len(blocks), max_size=len(blocks)))
+    lam = RandomVariable.from_block_values(targets, cu.filtration.f1, cu.space.size)
+    assert find_b(cu, grid, lam) == reference_find_b(cu, grid, lam)
+
+
+PAYOFF = st.one_of(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), st.floats(-1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lift_pair_diagnostics_match_the_expand_and_read_form(data):
+    cu, grid = data.draw(split_lifts())
+    f1, size = cu.filtration.f1, cu.space.size
+    count = len(f1.blocks)
+    f, g = (RandomVariable.from_block_values(data.draw(st.lists(PAYOFF, min_size=count, max_size=count)), f1, size)
+            for _ in "fg")
+    pair, diag = lift_pair(cu, grid, f, g)
+    assert (pair.b, pair.lambda_achieved) == reference_find_b(cu, grid, pair.lambda_target)
+    assert diag == reference_diagnostics(cu, grid, pair, f, g)
+    _, gaps = conditional_commonotone_additivity_check(cu, pair.xi, pair.eta)
+    assert gaps == reference_gaps(cu, pair.xi, pair.eta)
+
+
+def test_find_b_levels_round_trip_through_the_conditional_mass_set():
+    # find_b passes h = k / n; each level must come back as k, unsnapped, for every n up to 1030
+    space = OutcomeSpace.uniform(1031)
+    f0, f2 = Partition.trivial(1031), Partition.singletons(1031)
+    for n in range(1, 1031):
+        f1 = Partition(tuple((i,) for i in range(n + 1)) + (tuple(range(n + 1, 1031)),) * (n < 1030))
+        grid = UniformGrid(resolution=n, ranks=(1,) * 1031)
+        h = RandomVariable.of([k / n for k in range(n + 1)] + [0.0] * (1030 - n))
+        result = set_with_conditional_mass(space, Filtration(f0, f1, f2), grid, h)
+        assert not result.snapped
+        assert result.achieved == tuple(Fraction(k, n) for k in range(n + 1)) + (Fraction(0),) * (n < 1030)

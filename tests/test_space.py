@@ -76,6 +76,25 @@ def test_validate_rejects_nonpositive_mass_and_noncover():
     assert "does not cover" in msgs
 
 
+def test_validate_reports_an_empty_f1_block():
+    space = OutcomeSpace.uniform(2)
+    filt = Filtration(Partition.trivial(2), Partition(((0, 1), ())), Partition.singletons(2))
+    assert validate(space, filt).violations == ("f1 block 1 is empty", "f1 does not refine f0")
+
+
+def test_validate_reports_a_two_block_f0():
+    space = OutcomeSpace.uniform(2)
+    split = Partition.singletons(2)
+    assert validate(space, Filtration(split, split, split)).violations == (
+        "f0 has 2 blocks (must be the trivial partition)",)
+
+
+def test_validate_reports_more_masses_than_outcomes():
+    space = OutcomeSpace(("a", "b"), (Fraction(1, 3),) * 3)
+    assert validate(space, Filtration.two_period(space, [[0, 1]])).violations == (
+        "mass vector length 3 != 2 outcomes",)
+
+
 def test_partition_refinement():
     fine = Partition.singletons(4)
     coarse = Partition.from_blocks([[0, 1], [2, 3]])
@@ -148,6 +167,12 @@ def test_resolution_nonuniform_split():
     space = OutcomeSpace.from_masses([(1, 3), (1, 3), (1, 6), (1, 6)])
     filt = Filtration.two_period(space, [[0, 1, 2, 3]])
     assert conditional_resolution(space, filt) == 3
+
+
+def test_resolution_without_f1_blocks_is_zero():
+    space = OutcomeSpace.uniform(2)
+    filt = Filtration(Partition.trivial(2), Partition(()), Partition.singletons(2))
+    assert conditional_resolution(space, filt) == 0
 
 
 # ------------------------------------------------------------ uniform grids

@@ -1,7 +1,8 @@
-"""The developer tools under tools/: the report battery's revision export and
-the pair summary of tools/bench_pairs.py."""
+"""The developer tools under tools/: the report battery, its recorded
+digests and its revision export, and the pair summary of tools/bench_pairs.py."""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,47 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
+import report_battery  # noqa: E402
+
+# the interpreter that recorded tests/data/report_battery.txt
+RECORDED_ON = "cpython 3.11 glibc 2.36 x86_64"
+
+
+def _interpreter() -> str:
+    return " ".join([sys.implementation.name, "%d.%d" % sys.version_info[:2], *platform.libc_ver(), platform.machine()])
+
+
+def test_every_report_matches_its_recorded_digest(monkeypatch):
+    """Every command of tools/report_battery.py, run in-process, must give the
+    line recorded in tests/data/report_battery.txt; a failure names each
+    command whose report changed. A change that moves reports on purpose
+    re-records the file (`PYTHONPATH=src python3 tools/report_battery.py >
+    tests/data/report_battery.txt`) in the same commit.
+
+    On an interpreter other than RECORDED_ON (another implementation,
+    major.minor version, C library or machine) two kinds of line are left
+    out, since their text is not the program's own: argparse's help and
+    usage text (stdout or stderr starting with `usage:`), which wraps and
+    words differently across Python versions, and every command naming
+    utility_power_half.json, whose psi is the C library's pow. Every other
+    line must still match."""
+    monkeypatch.setenv("COLUMNS", "80")  # restored after the battery sets it
+    recorded = (ROOT / "tests" / "data" / "report_battery.txt").read_text(encoding="utf-8").splitlines()
+    *recorded, recorded_total = recorded
+    portable_only = _interpreter() != RECORDED_ON
+    runs = list(report_battery.reports())
+    lines = [report_battery.fingerprint(*run) for run in runs]
+    changed, left_out = [], 0
+    for (argv, _, out, err), line, old in zip(runs, lines, recorded):
+        argparse_text = out.startswith("usage:") or err.startswith("usage:")
+        if portable_only and (argparse_text or "utility_power_half.json" in argv):
+            left_out += 1
+        elif line != old:
+            changed.append(" ".join(argv))
+    assert not changed, f"{len(changed)} reports changed:\n" + "\n".join(changed)
+    assert len(lines) == len(recorded), f"{len(lines)} commands run, {len(recorded)} recorded"
+    if not left_out:
+        assert report_battery.total(lines) == recorded_total
 
 
 def test_report_battery_against_an_unknown_revision_prints_one_line_and_exits_2():

@@ -278,6 +278,13 @@ def test_product_example_contiguous_default_rows():
     assert product_example_eval(x, 2, 4, space) == product_example_eval(x, 2, 4, space, filt)
 
 
+def test_product_utility_has_no_conditional_form():
+    # ConditionalUtility refuses a product base first, so only a direct call reaches given
+    space, _ = product_space(2, 2)
+    with pytest.raises(ValueError, match="no conditional form on one block"):
+        CoherentUtility.product_example(2, 2).given(space, (0, 1))
+
+
 # ------------------------------------------------------------ commonotone
 
 def test_commonotone_pair_basic():

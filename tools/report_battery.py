@@ -51,8 +51,12 @@ After them come `tc-check --probes 20` and `cone-check --probes 20`, in
 text and csv, of the expectation, es(1/2), power(1/2) and piecewise on a
 space of masses 1..6/21 whose F1 blocks [5, 1, 3] and [4, 0, 2] interleave
 out of index order, and `validate` of a space file and a utility file that
-repeat a key. That makes 478 commands. Help and usage text wraps at
-the terminal width, so the battery runs at COLUMNS=80.
+repeat a key. Last come `lift` at the default grid, in text and csv, of
+piecewise and of es(2/7) on space_4, space_8 and space_12, so that find_b
+inverts the psi table of every distortion kind. That makes 490 commands.
+Help and usage text wraps at the terminal width, so the battery runs at
+COLUMNS=80. tests/data/report_battery.txt holds this script's output, and
+tests/test_tools.py compares a fresh in-process run with it line by line.
 
 `--against REV` exports REV's src/ with `git archive` into a temporary
 directory, runs this same command list there in a subprocess with
@@ -349,7 +353,19 @@ def quotient() -> list[list[str]]:
         both = ["--space", *INTERLEAVED, "--utility", utility, "--probes", "20"]
         cmds += [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
     space, utility = DUPLICATE_KEYS
-    return cmds + [["validate", "--space", space], ["validate", "--space", "space_4.json", "--utility", utility]]
+    cmds += [["validate", "--space", space], ["validate", "--space", "space_4.json", "--utility", utility]]
+    return cmds + psi_inverses()
+
+
+def psi_inverses() -> list[list[str]]:
+    """`lift` at the default grid of the distortion kinds whose psi table
+    find_b has not inverted above: piecewise and the non-dyadic es(2/7)."""
+    cmds = []
+    for utility in ("utility_piecewise.json", *NON_DYADIC_ES):
+        for space in SPACES[:3]:
+            f, g = _payoffs(space)
+            cmds += [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g, *fmt] for fmt in FORMATS]
+    return cmds
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -365,9 +381,9 @@ def run(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def fingerprints() -> list[str]:
-    """One line per command: the sha256 of its (exit code, stdout, stderr), the code and the command."""
-    lines = []
+def reports():
+    """Run the battery in a scratch directory at COLUMNS=80, yielding
+    (argv, exit code, stdout, stderr) for each command in order."""
     with tempfile.TemporaryDirectory() as work:
         for name in SPACES + UTILITIES:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
@@ -386,12 +402,27 @@ def fingerprints() -> list[str]:
         os.chdir(work)
         try:
             for argv in commands():
-                code, out, err = run(argv)
-                digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
-                lines.append(f"{digest}  {code}  {' '.join(argv)}")
+                yield (argv, *run(argv))
         finally:
             os.chdir(here)
-    return lines
+
+
+def fingerprint(argv: list[str], code, out: str, err: str) -> str:
+    """A command's line: the sha256 of its (exit code, stdout, stderr), the code and the command."""
+    digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    return f"{digest}  {code}  {' '.join(argv)}"
+
+
+def fingerprints() -> list[str]:
+    return [fingerprint(*report) for report in reports()]
+
+
+def total(lines: list[str]) -> str:
+    """The last line: a sha256 over the commands' digests."""
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.split("  ", 1)[0].encode())
+    return f"{h.hexdigest()}  total over {len(lines)} commands"
 
 
 def against(rev: str) -> int:
@@ -423,11 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.against:
         return against(args.against)
     lines = fingerprints()
-    total = hashlib.sha256()
-    for line in lines:
-        total.update(line.split("  ", 1)[0].encode())
-        print(line)
-    print(f"{total.hexdigest()}  total over {len(lines)} commands")
+    print("\n".join([*lines, total(lines)]))
     return 0
 
 
