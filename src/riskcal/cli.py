@@ -21,9 +21,9 @@ main alone renders it: the header plus `fields` as text, or `rows` under
 `columns` as CSV, to stdout or --out. main parses with one parser per
 process, built at its first call.
 
-Importing this module does not load numpy: eval, tc-check, cone-check and
-demo incompatibility import it at their first probe draw, and the other
-commands never do.
+Importing this module does not load numpy, which only default_probes
+imports: eval, tc-check, cone-check and demo incompatibility load it at
+their first probe draw, and the other commands never do.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .io import (
 )
 from .lift import _require_distortion_base, additivity_probe, lift_pair
 from .space import (
+    OutcomeSpace,
     Partition,
     RandomVariable,
     build_uniform_grid,
@@ -296,13 +297,9 @@ def _demo_incompatibility(args: argparse.Namespace) -> Report:
 
     space_p, filt_p = load_space_file(packaged_data_path("space_product_64.json"))
     u_prod = load_utility_file(packaged_data_path("utility_product_8x8.json"))
-    import numpy as np  # here, so that commands which draw no probes never load numpy
-
-    rng = np.random.default_rng(args.seed)
     max_err = 0.0
-    for _ in range(20):
-        row_vals = rng.uniform(0.0, 1.0, size=u_prod.k_alpha)
-        x = RandomVariable.from_block_values(row_vals, filt_p.f1, space_p.size)
+    for row in default_probes(OutcomeSpace.uniform(u_prod.k_alpha), 20, args.seed, nonnegative=True)[1:]:
+        x = RandomVariable.from_block_values(row.values, filt_p.f1, space_p.size)
         mean = sum(float(m) * v for m, v in zip(space_p.mass, x.values))
         max_err = max(max_err, abs(u_prod.evaluate(x, space_p, filt_p) - mean))
     half = u_prod.k_x // 2

@@ -4,22 +4,24 @@ The one-period conditional utility of x given F1 is computed block by
 block: CoherentUtility.given restricts the base to the block's conditional
 law, once per block for a ConditionalUtility, and CoherentUtility.evaluate
 applies it there to each payoff, the path of the direct value; where no
-scenario measure charges a block, the conditional expectation stands in
-and the block is flagged. Recomposition feeds the resulting F1-measurable
-payoff back through the base utility; the absolute gap between the direct
-two-period value and the recomposed one is the time-inconsistency
-certificate this module reports. A distortion base values an F1-measurable
-payoff on the F1 quotient, one outcome per block with its exact mass,
-which gives the full-space Choquet value bit for bit; a scenario base
-values it on the outcomes, since lumping float rows would move last bits.
+scenario measure charges a block, the conditional expectation stands in,
+and ConditionalUtility.fallbacks lists that block, whatever the payoff.
+Recomposition feeds the resulting F1-measurable payoff back through the
+base utility; the absolute gap between the direct two-period value and the
+recomposed one is the time-inconsistency certificate this module reports.
+A distortion base values an F1-measurable payoff on the F1 quotient, one
+outcome per block with its exact mass, which gives the full-space Choquet
+value bit for bit; a scenario base values it on the outcomes, since lumping
+float rows would move last bits.
 
 The cone test asks the same question in decomposition form: an acceptable
 x splits as x = eta + zeta with eta F1-measurable acceptable today and
 zeta conditionally acceptable on every block. Monotonicity collapses that
-search to evaluating the blockwise upper envelope of eta, the core bound
-min{E_Q[x | A] : Q in the dual set, Q(A) > 0} on each block A, so no LP
-solver is needed. What is checked is that eta is acceptable; zeta = x - eta
-is conditionally acceptable by construction, and is nudged so that
+search to one question, whether eta capped at the core bound
+min{E_Q[x | A] : Q in the dual set, Q(A) > 0} on each block A is
+acceptable, so no LP solver is needed; tc_gap's verdict asks only that,
+and cone_decompose alone builds the witness, zeta = x - eta being
+conditionally acceptable by construction and nudged so that
 eta + zeta == x bit for bit. For a scenario base the bound is the minimum
 over its measures conditioned on the block. For a distortion base the dual
 set is the core of psi(P), and the bound is a linear-fractional program over it,
@@ -67,11 +69,12 @@ GAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConditionalUtility:
-    """A base utility bound to a space and a two-period filtration; the
-    cached `conditioned` holds CoherentUtility.given's (utility, law,
-    fallback) for each F1 block, built on first use so that no probe
-    conditions a block again, and the cached `quotient` has one outcome per
-    F1 block, in f1.blocks order, with the block's exact mass."""
+    """A base utility bound to a space and a two-period filtration whose F1
+    blocks partition the outcomes. Built on first use, so that no probe
+    conditions a block again: `conditioned`, CoherentUtility.given's (utility,
+    law, fallback) per F1 block; `fallbacks`, the indices of the blocks where
+    no scenario measure charges the block and the expectation stands in; and
+    `quotient`, one outcome per F1 block, in f1.blocks order, with its exact mass."""
 
     base: CoherentUtility
     space: OutcomeSpace
@@ -83,11 +86,18 @@ class ConditionalUtility:
                 "conditional evaluation needs a distortion or scenario base; "
                 "the product-grid utility is a two-period object only"
             )
+        blocks, n = self.filtration.f1.blocks, self.space.size
+        if not all(blocks) or sorted(i for b in blocks for i in b) != list(range(n)):
+            raise ValueError(f"the F1 blocks must be nonempty and hold each of the {n} outcomes exactly once")
         self.base.check_space(self.space, self.filtration)
 
     @cached_property
     def conditioned(self) -> dict[tuple[int, ...], tuple[CoherentUtility, OutcomeSpace, bool]]:
         return {b: self.base.given(self.space, b) for b in self.filtration.f1.blocks}
+
+    @cached_property
+    def fallbacks(self) -> tuple[int, ...]:
+        return tuple(j for j, (_, _, fallback) in enumerate(self.conditioned.values()) if fallback)
 
     @cached_property
     def quotient(self) -> OutcomeSpace:
@@ -128,28 +138,22 @@ def blockwise_eval(
 
 def conditional_eval(cu: ConditionalUtility, x: RandomVariable) -> RandomVariable:
     """One-period conditional utility of x given F1 (blockwise base evaluation)."""
-    return conditional_eval_with_flags(cu, x)[0]
+    return RandomVariable.from_block_values(_block_values(cu, x), cu.filtration.f1, cu.space.size)
 
 
-def conditional_eval_with_flags(
-    cu: ConditionalUtility, x: RandomVariable
-) -> tuple[RandomVariable, tuple[int, ...]]:
-    """conditional_eval plus the block indices where the scenario fallback fired."""
-    values, fallbacks = _block_values(cu, x)
-    return RandomVariable.from_block_values(values, cu.filtration.f1, cu.space.size), fallbacks
+def conditional_eval_with_flags(cu: ConditionalUtility, x: RandomVariable) -> tuple[RandomVariable, tuple[int, ...]]:
+    """conditional_eval plus cu.fallbacks, the block indices where the
+    scenario fallback stands in; they depend on cu alone, not on x."""
+    return conditional_eval(cu, x), cu.fallbacks
 
 
-def _block_values(cu: ConditionalUtility, x: RandomVariable) -> tuple[list[float], tuple[int, ...]]:
-    """The conditional utility of x on each F1 block, in f1.blocks order, and the fallback blocks."""
+def _block_values(cu: ConditionalUtility, x: RandomVariable) -> list[float]:
+    """The conditional utility of x on each F1 block, in f1.blocks order; a
+    fallback block evaluates the expectation that cu.conditioned put there."""
     if len(x.values) != cu.space.size:
         raise ValueError(f"payoff has {len(x.values)} entries for {cu.space.size} outcomes")
-    values: list[float] = []
-    fallbacks: list[int] = []
-    for bi, (block, (u, law, fallback)) in enumerate(cu.conditioned.items()):
-        if fallback:
-            fallbacks.append(bi)
-        values.append(u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law))
-    return values, tuple(fallbacks)
+    return [u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law)
+            for block, (u, law, _) in cu.conditioned.items()]
 
 
 def _measurable_value(cu: ConditionalUtility, values) -> float:
@@ -179,7 +183,7 @@ def recompose(cu: ConditionalUtility, x: RandomVariable) -> float:
     it has on the full space bit for bit; a scenario base evaluates it on the
     full space.
     """
-    return _measurable_value(cu, _block_values(cu, x)[0])
+    return _measurable_value(cu, _block_values(cu, x))
 
 
 def crafted_ladder(space: OutcomeSpace) -> RandomVariable:
@@ -216,9 +220,9 @@ def tc_gap(
 ) -> TimeConsistencyReport:
     """Audit |direct - recomposed| over the probe list.
 
-    With check_cones, every probe with nonnegative direct value also gets a
-    cone_decompose verdict (others are skipped; the question is only posed
-    for acceptable positions). A non-finite value raises ValueError.
+    With check_cones, every probe with nonnegative direct value also gets
+    cone_decompose's verdict, building no witness (only acceptable positions
+    pose the question). A non-finite value raises ValueError.
     """
     probes = tuple(probes)
     if not probes:
@@ -237,8 +241,7 @@ def tc_gap(
         if gap > max_gap:
             max_gap, witness = gap, x
         if check_cones and direct >= 0.0:
-            feasible, _ = _cone_split(cu, x, direct)
-            verdicts.append((pid, feasible))
+            verdicts.append((pid, _acceptable_cap(cu, x) is not None))
     return TimeConsistencyReport(
         max_gap=max_gap,
         witness=witness,
@@ -295,25 +298,18 @@ def cone_decompose(
     eta_A <= E_Q[x | A] for every dual measure Q with Q(A) > 0, so the
     largest admissible eta is core_bound on each block, and acceptability of
     eta is monotone: feasibility is decided by one evaluation of eta at that
-    blockwise upper envelope; no general LP machinery is required. For a
+    blockwise upper envelope, as in tc_gap's verdict; no LP is needed. For a
     distortion base the bound comes from Dinkelbach's iteration over greedy
     core vertices, a few sorts per block, so no outcome cap applies.
     Returns (True, (eta, zeta)) when eta is acceptable, zeta = x - eta being
     conditionally acceptable by construction and nudged so that
     eta + zeta == x bit for bit, or (False, None).
     """
-    return _cone_split(cu, x, two_period_eval(cu, x))
-
-
-def _cone_split(
-    cu: ConditionalUtility, x: RandomVariable, direct: float
-) -> tuple[bool, tuple[RandomVariable, RandomVariable] | None]:
-    """cone_decompose for a probe whose direct value is already known."""
+    direct = two_period_eval(cu, x)
     if direct < -GAP_TOL:
         raise ValueError(f"not acceptable: u02(x) = {direct}")
-
-    eta_cap = [core_bound(cu, x, block) for block in cu.filtration.f1.blocks]
-    if _measurable_value(cu, eta_cap) < -1e-12:
+    eta_cap = _acceptable_cap(cu, x)
+    if eta_cap is None:
         return False, None
     eta = RandomVariable.from_block_values(eta_cap, cu.filtration.f1, cu.space.size)
 
@@ -330,6 +326,13 @@ def _cone_split(
     return True, (eta, RandomVariable(tuple(zeta)))
 
 
+def _acceptable_cap(cu: ConditionalUtility, x: RandomVariable) -> list[float] | None:
+    """core_bound on each F1 block, the largest admissible eta, when that
+    F1-measurable cap is acceptable today, and None when it is not."""
+    eta_cap = [core_bound(cu, x, block) for block in cu.filtration.f1.blocks]
+    return None if _measurable_value(cu, eta_cap) < -1e-12 else eta_cap
+
+
 def conditional_commonotone_additivity_check(
     cu: ConditionalUtility, x: RandomVariable, y: RandomVariable
 ) -> tuple[bool, tuple[float, ...]]:
@@ -342,6 +345,6 @@ def conditional_commonotone_additivity_check(
     ok, pair = is_commonotone_pair(x, y, cu.space)
     if not ok:
         raise ValueError(f"inputs are not commonotone: outcomes {pair} order oppositely")
-    cx, cy, cxy = (_block_values(cu, z)[0] for z in (x, y, x + y))
+    cx, cy, cxy = (_block_values(cu, z) for z in (x, y, x + y))
     gaps = tuple(s - a - b for a, b, s in zip(cx, cy, cxy))
     return all(abs(g) <= GAP_TOL for g in gaps), gaps

@@ -202,7 +202,7 @@ def lift_pair(
     )
 
     fs, gs, targets, achieved = ([z.values[b[0]] for b in f1.blocks] for z in (f, g, lambda_target, lambda_achieved))
-    u_xi, u_eta, u_sum = (_block_values(cu, x)[0] for x in (pair.xi, pair.eta, pair.xi + pair.eta))
+    u_xi, u_eta, u_sum = (_block_values(cu, x) for x in (pair.xi, pair.eta, pair.xi + pair.eta))
     return pair, LiftDiagnostics(
         err_f=tuple(abs(u - v) for u, v in zip(u_xi, fs)),
         err_g=tuple(abs(u - v) for u, v in zip(u_eta, gs)),

@@ -52,6 +52,23 @@ def test_product_base_rejected():
         ConditionalUtility(CoherentUtility.product_example(2, 2), SPACE4, FILT4)
 
 
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [0, 1], [2, 3]],
+    [[0, 1, 2], [2, 3]],
+    [[0, 1], [2, 7]],
+    [[0, 1], [2, -1]],
+    [[0, 1], [2]],
+    [[0, 1], [], [2, 3]],
+], ids=["repeated", "overlapping", "out-of-range", "negative", "missing", "empty"])
+def test_conditional_utility_refuses_f1_blocks_that_do_not_partition_the_outcomes(blocks):
+    # `conditioned` is keyed by block: a repeated block collapsed, and conditional_eval of
+    # (0, 0, 1, 1) gave (1, 1, 0, 0); overlapping blocks recomposed with no error
+    filt = Filtration(FILT4.f0, Partition.from_blocks(blocks), FILT4.f2)
+    message = "^the F1 blocks must be nonempty and hold each of the 4 outcomes exactly once$"
+    with pytest.raises(ValueError, match=message):
+        ConditionalUtility(EXPECT, SPACE4, filt)
+
+
 # ---------------------------------------------------------- conditional_eval
 
 def test_conditional_eval_worst_half_per_block():
@@ -741,3 +758,71 @@ def test_recompose_on_the_quotient_equals_the_full_space_value(case):
                 feasible, witness = cone_decompose(cu, y)
                 want_feasible, want_witness = _full_space_cone_split(cu, y)
                 assert feasible == want_feasible and witness == want_witness
+
+
+# ------------------------------- per-block facts decided once per instance
+
+def _per_payoff_flags(cu, x):
+    """conditional_eval_with_flags as it was collected for every payoff:
+    each block's value and fallback flag read from cu.conditioned in turn."""
+    values, fallbacks = [], []
+    for bi, (block, (u, law, fallback)) in enumerate(cu.conditioned.items()):
+        if fallback:
+            fallbacks.append(bi)
+        values.append(u.evaluate(RandomVariable(tuple(x.values[i] for i in block)), law))
+    return RandomVariable.from_block_values(values, cu.filtration.f1, cu.space.size), tuple(fallbacks)
+
+
+@st.composite
+def _per_block_cases(draw):
+    """A rational space of 2..10 outcomes, 1-4 F1 blocks of unsorted
+    outcomes listed in a drawn order, one of the five distortion bases of
+    QUOTIENT_BASES or a scenario set that leaves a drawn set of blocks (all
+    but one at most) uncharged, and tie-heavy payoffs with their copies
+    shifted to be nonnegative, so that some are acceptable."""
+    n = draw(st.integers(2, 10))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    space = OutcomeSpace.from_masses([Fraction(w, sum(weights)) for w in weights])
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(4, n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    blocks = draw(st.permutations([order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]))
+    if draw(st.booleans()):
+        uncharged = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+        charged = [i for j, block in enumerate(blocks) if j not in uncharged for i in block]
+        measures = []
+        for _ in range(draw(st.integers(1, 3))):
+            q = [0] * n
+            for i in charged:
+                q[i] = draw(st.sampled_from([0, 0, 1, 2, 5]))
+            if not any(q):
+                q[charged[0]] = 1
+            measures.append([Fraction(w, sum(q)) for w in q])
+        base = CoherentUtility.from_scenarios(ScenarioSet.of(measures))
+    else:
+        base = draw(st.sampled_from(QUOTIENT_BASES))
+    value = st.one_of(st.integers(-4, 4).map(lambda v: v / 4), st.floats(-2.0, 2.0))
+    payoffs = [RandomVariable.of(v) for v in draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                                           min_size=1, max_size=4))]
+    payoffs += [RandomVariable.of([v - min(x.values) for v in x.values]) for x in payoffs]
+    return ConditionalUtility(base, space, Filtration.two_period(space, blocks)), payoffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_per_block_cases())
+def test_fallbacks_match_the_per_payoff_collection(case):
+    cu, payoffs = case
+    for x in payoffs:
+        want = _per_payoff_flags(cu, x)
+        assert conditional_eval_with_flags(cu, x) == want
+        assert cu.fallbacks == want[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_per_block_cases())
+def test_cone_verdicts_match_cone_decompose(case):
+    cu, payoffs = case
+    report = tc_gap(cu, payoffs, check_cones=True)
+    want = [(pid, cone_decompose(cu, x)[0]) for pid, x in enumerate(payoffs) if two_period_eval(cu, x) >= 0.0]
+    assert want  # the shifted copies are nonnegative, so acceptable
+    assert list(report.cone_verdicts) == want

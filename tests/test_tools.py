@@ -1,6 +1,9 @@
 """The developer tools under tools/: the report battery, its recorded
-digests and its revision export, and the pair summary of tools/bench_pairs.py."""
+digests and its revision export, and the pair summary of tools/bench_pairs.py;
+and the names perfbench/tracing.py wraps."""
 
+import ast
+import importlib
 import os
 import platform
 import subprocess
@@ -107,3 +110,17 @@ def test_bench_pairs_summary_reads_passes_and_the_rss_slope_per_kept_pass():
     # runs that note no pass count, or all the same one, give no slope
     assert "mb_per_pass" not in bench_pairs.summarize([{**r, "passes": 12} for r in runs])["peak_rss_mb"]
     assert "passes" not in bench_pairs.summarize([_run(r["pair"], r["side"], 1.0, 50.0) for r in runs])
+
+
+def test_every_traced_name_resolves():
+    """perfbench/tracing.py wraps each LAYERS entry by name, with a getattr on
+    riskcal.<module>, and counts DistortionFunction.psi: a deleted or renamed
+    function breaks `perfbench/run.py --trace 1`. The file is parsed, not run."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    assert all(layers.values())
+    missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"riskcal.{mod}"), fn, None))]
+    assert not missing, f"perfbench/tracing.py wraps names riskcal lacks: {missing}"
+    assert callable(importlib.import_module("riskcal.utility").DistortionFunction.psi)

@@ -53,7 +53,9 @@ space of masses 1..6/21 whose F1 blocks [5, 1, 3] and [4, 0, 2] interleave
 out of index order, and `validate` of a space file and a utility file that
 repeat a key. Last come `lift` at the default grid, in text and csv, of
 piecewise and of es(2/7) on space_4, space_8 and space_12, so that find_b
-inverts the psi table of every distortion kind. That makes 490 commands.
+inverts the psi table of every distortion kind, and last `demo
+incompatibility --seed 0` and `--seed 4294967296`, in text and csv. That
+makes 494 commands.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80. tests/data/report_battery.txt holds this script's output, and
 tests/test_tools.py compares a fresh in-process run with it line by line.
@@ -365,7 +367,13 @@ def psi_inverses() -> list[list[str]]:
         for space in SPACES[:3]:
             f, g = _payoffs(space)
             cmds += [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g, *fmt] for fmt in FORMATS]
-    return cmds
+    return cmds + demo_seeds()
+
+
+def demo_seeds() -> list[list[str]]:
+    """`demo incompatibility` at the smallest seed and at 2**32, whose
+    product-grid rows come from the probe stream of default_probes."""
+    return [["demo", "incompatibility", "--seed", seed, *fmt] for seed in ("0", "4294967296") for fmt in FORMATS]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
