@@ -3,7 +3,7 @@
 Three utility kinds, each with one evaluation path, CoherentUtility.evaluate:
 
 * distortion (Choquet) utilities u(x) = integral of x against v = psi(P),
-  psi convex with psi(0)=0, psi(1)=1;
+  psi convex with psi(0)=0, psi(1)=1, its formula written once in psi_at;
 * scenario-set duals u(x) = min over finitely many measures Q of E_Q[x];
 * a two-layer product-grid example where the distortion exponent varies
   with the row coordinate.
@@ -59,8 +59,8 @@ _ZERO = Fraction(0)  # Fractions are immutable, so every exact sum may start fro
 class DistortionFunction:
     """Convex distortion psi: [0,1] -> [0,1] with psi(0)=0 and psi(1)=1.
 
-    kind is one of "expectation", "es", "power", "piecewise". es keeps its
-    level a Fraction and its formula in psi_at alone; power and piecewise are floats.
+    kind is one of "expectation", "es", "power", "piecewise". psi_at holds every
+    kind's formula and psi is its exact view; power and piecewise psi are floats.
     """
 
     kind: str
@@ -118,31 +118,28 @@ class DistortionFunction:
         return cls("piecewise", knots=tuple((float(p), float(y)) for p, y in knots))
 
     def psi(self, p: Scalar) -> Scalar:
-        """psi(p): for es the exact Fraction view of psi_at, an int or float p taken exactly."""
+        """psi(p): the exact view of psi_at at p taken exactly, an int or float p too."""
         if self.kind == "expectation":
             return p
-        if self.kind == "es":
-            p = p if isinstance(p, Fraction) else Fraction(p)
-            num, den = self.psi_at(p.numerator, p.denominator)
-            return Fraction(num, den) if num else _ZERO
-        if self.kind == "power":
-            return float(p) ** (1.0 + self.alpha)
-        pf = float(p)
-        xs = [k[0] for k in self.knots]
-        j = min(bisect_right(xs, pf), len(xs) - 1)
-        (p0, y0), (p1, y1) = self.knots[j - 1], self.knots[j]
-        return y0 + (y1 - y0) * (pf - p0) / (p1 - p0)
+        p = p if isinstance(p, Fraction) else Fraction(p)
+        num, den = self.psi_at(p.numerator, p.denominator)
+        return num if den is None else (Fraction(num, den) if num else _ZERO)
 
     def psi_at(self, s: int, w: int) -> tuple[int, int] | tuple[float, None]:
-        """psi(s / w) for integers s >= 0, w > 0 as (numerator, denominator): ints
-        for the rational kinds, es(a/b) giving max(0, b*s - (b-a)*w) over a*w,
-        its one formula; for power and piecewise the float psi(s / w) and None."""
+        """psi(s / w) for integers s >= 0, w > 0, each kind's one formula: ints (num, den)
+        for the rational kinds, es(a/b) giving max(0, b*s - (b-a)*w) over a*w; for
+        power and piecewise the float psi at the correctly rounded s / w, and None."""
         if self.kind == "expectation":
             return s, w
         if self.kind == "es":
             a, b = self.alpha.numerator, self.alpha.denominator
             return max(0, b * s - (b - a) * w), a * w
-        return self.psi(s / w), None
+        p = s / w
+        if self.kind == "power":
+            return p ** (1 + self.alpha), None
+        j = min(bisect_right(self.knots, p, key=lambda knot: knot[0]), len(self.knots) - 1)
+        (p0, y0), (p1, y1) = self.knots[j - 1], self.knots[j]
+        return y0 + (y1 - y0) * (p - p0) / (p1 - p0), None
 
     def describe(self) -> str:
         if self.kind == "expectation":
@@ -180,7 +177,8 @@ class ScenarioSet:
                 raise ValueError(f"measure {idx} has a negative entry")
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(rows[0])}")
-            rows.append(row)
+            # a float entry in the slack [-1e-12, 0) is stored as 0.0: given divides by block masses as small
+            rows.append(tuple(v if isinstance(v, (Fraction, int)) or v >= 0 else 0.0 for v in row))
         if not rows:
             raise ValueError("scenario set must be nonempty")
         return cls(tuple(rows))
@@ -190,7 +188,7 @@ class ScenarioSet:
         return len(self.measures)
 
     def given(self, block) -> "ScenarioSet | None":
-        """The measures whose mass on `block`, summed from the entries as given, is
+        """The measures whose mass on `block`, summed from its stored entries, is
         positive, each divided by it as OutcomeSpace.given divides P: exact rows
         stay exact, float_rows rounds each once; None if no measure charges it."""
         rows = []
@@ -232,8 +230,9 @@ class CoherentUtility:
     def check_space(self, space: OutcomeSpace, filtration: Filtration | None = None) -> None:
         """Raise ValueError unless this utility evaluates payoffs on `space`: every scenario
         measure has one entry per outcome, a product's `space` is its grid; a distortion fits any."""
-        if self.kind == "scenario" and len(self.scenarios.measures[0]) != space.size:
-            raise ValueError(f"measure 0 has {len(self.scenarios.measures[0])} entries for {space.size} outcomes")
+        for idx, q in enumerate(self.scenarios.measures if self.kind == "scenario" else ()):
+            if len(q) != space.size:
+                raise ValueError(f"measure {idx} has {len(q)} entries for {space.size} outcomes")
         if self.kind == "product":
             product_grid_rows(self.k_alpha, self.k_x, space, filtration)
 
@@ -280,7 +279,7 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
         mass_at[v] = mass_at[v] + m if v in mass_at else m
     total = 0.0
     s = _ZERO
-    prev = psi.psi(s)
+    prev = 0  # psi(0) = 0 for every kind, so psi runs once per distinct payoff level
     for v in sorted(mass_at, reverse=True):
         s += mass_at[v]
         cur = psi.psi(s)

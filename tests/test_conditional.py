@@ -826,3 +826,54 @@ def test_cone_verdicts_match_cone_decompose(case):
     want = [(pid, cone_decompose(cu, x)[0]) for pid, x in enumerate(payoffs) if two_period_eval(cu, x) >= 0.0]
     assert want  # the shifted copies are nonnegative, so acceptable
     assert list(report.cone_verdicts) == want
+
+
+# ------------------------------- scenario measures at the edge of their fit
+
+def test_conditional_utility_checks_every_scenario_measure_length():
+    # only measure 0 was checked, and recompose then raised IndexError on measure 1
+    base = CoherentUtility.from_scenarios(ScenarioSet(((0.25,) * 4, (0.5, 0.5))))
+    with pytest.raises(ValueError, match="^measure 1 has 2 entries for 4 outcomes$"):
+        ConditionalUtility(base, SPACE4, FILT4)
+
+
+SLACK_ROWS = [[-1e-12, 2e-12, 0.5, 0.499999999999]]  # valid: the float slack lets an entry dip to -1e-12
+
+
+@st.composite
+def _slack_cases(draw):
+    """Float measures on 2..6 outcomes whose entries are tiny, positive or
+    within the -1e-12 slack, so that some blocks are charged by a hair; F1
+    blocks in index order and payoffs in [-5, 5]."""
+    n = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        tiny = st.floats(-1e-12, 0.0, exclude_max=True) | st.floats(0.0, 3e-12)
+        raw = draw(st.lists(st.integers(0, 4).map(float) | tiny, min_size=n, max_size=n).filter(
+            lambda r: any(v >= 1 for v in r)))
+        big = sum(v for v in raw if v >= 1)
+        rows.append([v / big if v >= 1 else v for v in raw])
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=n - 1, unique=True)))
+    blocks = [list(range(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
+    payoffs = draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n), min_size=1, max_size=3))
+    return rows, blocks, payoffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slack_cases())
+@example((SLACK_ROWS, [[0, 1], [2, 3]], [[5.0, 0.0, 0.0, 0.0]]))
+def test_block_values_and_core_bounds_of_slack_entries_lie_within_the_block_payoffs(case):
+    # a slack entry of -1e-12 over a block mass of 1e-12 became a weight of -1: u1((5, 0, 0, 0)) was -5 on (0, 1)
+    rows, blocks, payoffs = case
+    space = OutcomeSpace.uniform(len(rows[0]))
+    cu = ConditionalUtility(CoherentUtility.from_scenarios(ScenarioSet.of(rows)), space,
+                            Filtration.two_period(space, blocks))
+    for values in payoffs:
+        x = RandomVariable.of(values)
+        u1 = conditional_eval(cu, x)
+        for block in blocks:
+            on_block = [values[i] for i in block]
+            low, high = min(on_block), max(on_block)
+            slack = 1e-12 * (1.0 + max(map(abs, on_block)))  # rounding of the conditioned weights
+            assert low - slack <= u1.values[block[0]] <= high + slack
+            assert low - slack <= core_bound(cu, x, block) <= high + slack

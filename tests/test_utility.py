@@ -545,6 +545,76 @@ def test_choquet_matches_the_fraction_reference_bit_for_bit_on_masses_over_1e400
     assert got == want and repr(got) == repr(want)
 
 
+# ------------------------------------------- every psi formula in psi_at
+
+def psi_formula_reference(psi, s, w):
+    """Each kind's psi at s / w, written from its formula: exact for the
+    rational kinds, on float(Fraction(s, w)) for power and piecewise, whose
+    segment is found by a linear scan of the knots."""
+    p = Fraction(s, w)
+    if psi.kind == "expectation":
+        return p
+    if psi.kind == "es":
+        return es_psi_reference(psi, p)
+    pf = float(p)
+    if psi.kind == "power":
+        return pf ** (1.0 + psi.alpha)
+    j = next((k for k in range(1, len(psi.knots)) if pf < psi.knots[k][0]), len(psi.knots) - 1)
+    (p0, y0), (p1, y1) = psi.knots[j - 1], psi.knots[j]
+    return y0 + (y1 - y0) * (pf - p0) / (p1 - p0)
+
+
+@st.composite
+def convex_knots(draw):
+    """Knots of a convex piecewise psi: 0-4 interior abscissae on the 1/64 grid,
+    nondecreasing slopes, ordinates rounded once from their exact values."""
+    xs = [0, *sorted(draw(st.sets(st.integers(1, 63), max_size=4))), 64]
+    slopes = sorted(draw(st.lists(st.integers(0, 20), min_size=len(xs) - 1, max_size=len(xs) - 1)))
+    slopes[-1] += 1
+    ys = [0]
+    for slope, x0, x1 in zip(slopes, xs, xs[1:]):
+        ys.append(ys[-1] + slope * (x1 - x0))
+    return DistortionFunction.piecewise([(x / 64, Fraction(y, ys[-1])) for x, y in zip(xs, ys)])
+
+
+EVERY_KIND = st.one_of(st.just(EXPECTATION), ES_LEVEL, st.floats(0.0, 1.0).map(DistortionFunction.power),
+                       convex_knots())
+
+
+@st.composite
+def psi_levels(draw):
+    """A level s / w in [0, 1] with w up to 10**400, 10**400 itself among them."""
+    w = draw(st.integers(1, 64) | st.integers(1, HUGE) | st.just(HUGE))
+    return draw(st.integers(0, w)), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(EVERY_KIND, psi_levels())
+@example(PIECEWISE, (1, 4))
+@example(PIECEWISE, (1, 2))
+@example(POWER_HALF, (HUGE // 3, HUGE))
+def test_psi_and_psi_at_equal_each_kinds_formula(psi, level):
+    s, w = level
+    want = psi_formula_reference(psi, s, w)
+    got, got_at = psi.psi(Fraction(s, w)), psi.psi_at(s, w)
+    if psi.kind in ("power", "piecewise"):
+        assert got.hex() == want.hex() and got_at[1] is None and got_at[0].hex() == want.hex()
+    else:
+        assert got == want and Fraction(*got_at) == want
+
+
+@given(EVERY_KIND, st.integers(1, HUGE))
+def test_psi_of_zero_is_zero_for_every_kind(psi, w):
+    assert psi.psi(0) == psi.psi(Fraction(0)) == psi.psi(0.0) == 0
+    assert psi.psi_at(0, w)[0] == 0
+
+
+def test_piecewise_built_with_list_valued_interior_knots_evaluates():
+    psi = DistortionFunction("piecewise", knots=((0.0, 0.0), [0.5, 0.25], [0.75, 0.5], (1.0, 1.0)))
+    assert psi.psi(Fraction(1, 4)) == 0.125 and psi.psi(Fraction(5, 8)) == 0.375
+    assert psi.psi_at(7, 8) == (0.75, None)
+
+
 @pytest.mark.parametrize("values", [[1, 2, 3], [1, 2, 3, 4, 100]], ids=["short", "long"])
 def test_choquet_and_product_evaluation_refuse_a_payoff_of_another_length(values):
     # zipped with the masses, a long payoff lost its extra entries and a short one its last outcomes

@@ -54,8 +54,19 @@ out of index order, and `validate` of a space file and a utility file that
 repeat a key. Last come `lift` at the default grid, in text and csv, of
 piecewise and of es(2/7) on space_4, space_8 and space_12, so that find_b
 inverts the psi table of every distortion kind, and last `demo
-incompatibility --seed 0` and `--seed 4294967296`, in text and csv. That
-makes 494 commands.
+incompatibility --seed 0` and `--seed 4294967296`, in text and csv. Then
+the branches no command above runs: `eval`, `lift`, `tc-check` and
+`cone-check` of the invalid space, `lift` with a `--f` of 3 entries, one
+holding nan and one not constant on an F1 block, `tc-check --probes 0` of
+es(1/2) on space_4 at `--tol` 0.5 and 0 (its ladder gap is exactly 0.5)
+and on the 1030 equal masses, past the ladder's limit, `lift` at the
+default grid on singleton blocks, `lift --grid-n 2` on one block of masses
+(1, 1, 1, 1, 2)/6, and `lift` whose first block sits at the wedge's
+corner; `validate` of malformed space files (one valid labelled space
+among them) and of utility files malformed in every way the parser or a
+constructor refuses; and last `tc-check` and `cone-check --probes 20`, in
+text and csv, of a scenario set on space_4 whose entry -1e-12 lies in the
+float slack. That makes 536 commands.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80. tests/data/report_battery.txt holds this script's output, and
 tests/test_tools.py compares a fresh in-process run with it line by line.
@@ -160,6 +171,42 @@ DUPLICATE_KEYS = {  # written as text, since a dict cannot repeat a key
                                 '"f1_blocks": [[0, 1, 2, 3]]}',
     "utility_duplicate_key.json": '{"utility": {"kind": "es", "alpha": [1, 2], "alpha": [1, 4]}}',
 }
+SINGLE = {  # singleton F1 blocks, which admit no common split, and one block whose resolution 3 is odd
+    "singletons.json": {"masses": [[1, 4]] * 4, "f1_blocks": [[0], [1], [2], [3]]},
+    "one_block_sixths.json": {"masses": [[m, 6] for m in (1, 1, 1, 1, 2)], "f1_blocks": [[0, 1, 2, 3, 4]]},
+}
+BROKEN_FILES = {  # written as text, since some are not JSON or hold 1e400, which json.dump writes as Infinity
+    "space_not_json.json": '{"masses": [[1, 2], [1, 2]], ',
+    "space_array.json": '[[1, 2], [1, 2]]',
+    "space_no_masses.json": '{"f1_blocks": [[0, 1]]}',
+    "space_no_blocks.json": '{"masses": [[1, 2], [1, 2]]}',
+    "space_empty_masses.json": '{"masses": [], "f1_blocks": [[0]]}',
+    "space_zero_denominator.json": '{"masses": [[1, 0], [1, 2]], "f1_blocks": [[0, 1]]}',
+    "space_labels_short.json": '{"masses": [[1, 2], [1, 2]], "f1_blocks": [[0, 1]], "labels": ["up"]}',
+    "space_labelled.json": '{"masses": [[1, 2], [1, 2]], "f1_blocks": [[0], [1]], "labels": ["up", "down"]}',
+    "space_blocks_not_list.json": '{"masses": [[1, 2], [1, 2]], "f1_blocks": 5}',
+    "utility_no_utility.json": '{"kind": "es", "alpha": [1, 2]}',
+    "utility_no_kind.json": '{"utility": {"alpha": [1, 2]}}',
+    "utility_unknown_kind.json": '{"utility": {"kind": "var", "alpha": [1, 2]}}',
+    "utility_knots_not_list.json": '{"utility": {"kind": "piecewise", "knots": 1}}',
+    "utility_measures_empty.json": '{"utility": {"kind": "scenario", "measures": []}}',
+    "utility_measure_not_list.json": '{"utility": {"kind": "scenario", "measures": [0.25]}}',
+    "utility_es_three_halves.json": '{"utility": {"kind": "es", "alpha": [3, 2]}}',
+    "utility_power_two.json": '{"utility": {"kind": "power", "alpha": 2}}',
+    "utility_piecewise_one_knot.json": '{"utility": {"kind": "piecewise", "knots": [[0, 0]]}}',
+    "utility_piecewise_endpoint.json": '{"utility": {"kind": "piecewise", "knots": [[0, 0], [1, 0.5]]}}',
+    "utility_piecewise_backwards.json": '{"utility": {"kind": "piecewise", "knots": [[0, 0], [0.5, 0.25], '
+                                        '[0.25, 0.5], [1, 1]]}}',
+    "utility_piecewise_decreasing.json": '{"utility": {"kind": "piecewise", "knots": [[0, 0], [0.5, 0.5], '
+                                         '[0.75, 0.25], [1, 1]]}}',
+    "utility_piecewise_concave.json": '{"utility": {"kind": "piecewise", "knots": [[0, 0], [0.5, 0.75], [1, 1]]}}',
+    "utility_scenario_sum_two.json": '{"utility": {"kind": "scenario", "measures": [[0.5, 0.5, 0.5, 0.5]]}}',
+    "utility_scenario_1e400.json": '{"utility": {"kind": "scenario", "measures": [[1e400, 0, 0, 0]]}}',
+    "utility_product_zero.json": '{"utility": {"kind": "product", "k_alpha": 0, "k_x": 4}}',
+}
+# valid: an entry may dip to -1e-12, and block (0, 1) is charged with mass 1e-12 as given
+SLACK = {"utility_scenario_slack.json": {"utility": {"kind": "scenario",
+                                                     "measures": [[-1e-12, 2e-12, 0.5, 0.499999999999]]}}}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -373,7 +420,43 @@ def psi_inverses() -> list[list[str]]:
 def demo_seeds() -> list[list[str]]:
     """`demo incompatibility` at the smallest seed and at 2**32, whose
     product-grid rows come from the probe stream of default_probes."""
-    return [["demo", "incompatibility", "--seed", seed, *fmt] for seed in ("0", "4294967296") for fmt in FORMATS]
+    return [["demo", "incompatibility", "--seed", seed, *fmt] for seed in ("0", "4294967296") for fmt in FORMATS] + edges()
+
+
+def edges() -> list[list[str]]:
+    """Refusals of an invalid space and of malformed or non-measurable `--f`,
+    `tc-check` of the es(1/2) ladder, whose gap is 0.5, at `--tol` 0.5 and 0
+    and of a space past the ladder's 1025 outcomes, `lift` on grids that are
+    refused, and `lift` at the wedge's corner."""
+    base = ["--utility", "utility_es_half.json"]
+    cmds = [[command, "--space", "bad_index_99.json", *base, *extra]
+            for command, extra in (("eval", []), ("lift", ["--f", "1,1,0,0", "--g", "0,0,1,1"]), ("tc-check", []),
+                                   ("cone-check", []))]
+    zeros = ",".join(["0"] * 8)
+    cmds += [["lift", "--space", "space_8.json", *base, "--f", f, "--g", zeros]
+             for f in ("1,2,3", "1,1,1,1,nan,0,0,0", "1,2,1,1,0,0,0,0")]
+    cmds += [["tc-check", "--space", "space_4.json", *base, "--probes", "0", "--tol", tol] for tol in ("0.5", "0")]
+    cmds += [
+        ["tc-check", "--space", "flat_1030.json", *base, "--probes", "0"],
+        ["lift", "--space", "singletons.json", *base, "--f", "0,1,2,3", "--g", "3,2,1,0"],
+        ["lift", "--space", "one_block_sixths.json", "--utility", "utility_expectation.json",
+         "--f", "0,0,0,0,0", "--g", "0.5,0.5,0.5,0.5,0.5", "--grid-n", "2"],
+        ["lift", "--space", "space_4.json", *base, "--f", "1,1,0,0", "--g=-1,-1,0,0"],
+    ]
+    return cmds + broken_files()
+
+
+def broken_files() -> list[list[str]]:
+    """`validate` of every malformed space and utility file, then `tc-check`
+    and `cone-check` of scenario entries in the float slack, in text and csv."""
+    cmds = []
+    for name in BROKEN_FILES:
+        if name.startswith("space_"):
+            cmds.append(["validate", "--space", name])
+        else:
+            cmds.append(["validate", "--space", "space_4.json", "--utility", name])
+    both = ["--space", "space_4.json", "--utility", *SLACK, "--probes", "20"]
+    return cmds + [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -398,10 +481,10 @@ def reports():
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
-                          **NON_DYADIC_ES, **INTERLEAVED}.items():
+                          **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        for name, text in DUPLICATE_KEYS.items():
+        for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         os.mkdir(os.path.join(work, DIRECTORY))
