@@ -269,7 +269,7 @@ def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
         v.append(f"mass sum {total} (must be exactly 1)")
 
     for name, part in (("f0", filtration.f0), ("f1", filtration.f1), ("f2", filtration.f2)):
-        seen: set[int] = set()
+        seen: dict[int, int] = {}  # outcome -> the last block holding it
         for j, block in enumerate(part.blocks):
             if not block:
                 v.append(f"{name} block {j} is empty")
@@ -277,8 +277,9 @@ def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
                 if not 0 <= i < n:
                     v.append(f"{name} block {j} references outcome {i} outside 0..{n - 1}")
                 elif i in seen:
-                    v.append(f"{name}: outcome {i} appears in more than one block")
-                seen.add(i)
+                    where = f"more than once in block {j}" if seen[i] == j else "in more than one block"
+                    v.append(f"{name}: outcome {i} appears {where}")
+                seen[i] = j
         missing = [i for i in range(n) if i not in seen]
         if missing:
             v.append(f"{name} does not cover outcomes {missing}")
@@ -383,10 +384,10 @@ def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
     """Largest n >= 2 such that every F1 block splits into n equal-conditional-mass
     sub-events (exact arithmetic); 0 if no such n exists.
 
-    This is the finite surrogate for conditional atomlessness: downstream grid
-    constructions record the n they relied on. Only existence matters here,
-    so each (block, n) is decided by _split_exists; the canonical assignment
-    of _equal_split is computed by build_uniform_grid, for its one n.
+    This is the finite surrogate for conditional atomlessness and the n of
+    the default grid. Only existence matters here, so each (block, n) is
+    decided by _split_exists; build_uniform_grid computes the canonical
+    assignment of _equal_split, for its one n.
     """
     blocks = filtration.f1.blocks
     if not blocks:
@@ -401,42 +402,34 @@ def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
 def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | None = None) -> UniformGrid:
     """Split each F1 block into n equal-conditional-mass groups; U = group rank / n.
 
-    Requires conditional_resolution >= n with n dividing it; n=None uses the
-    conditional resolution itself. If n divides a nonzero resolution res,
-    every block splits n ways (merge res/n consecutive groups of its res-way
-    split), so _split_exists searches the blocks only on refusal, to name
-    the first that fails. The ranks come from the canonical-order
-    backtracking of _equal_split, run once per distinct conditional law of
-    a block, so outputs are reproducible.
+    n=None uses the conditional resolution, at which every block splits. A
+    requested n is checked by _split_exists once per distinct conditional
+    law of a block, and the first block that cannot split n ways is named.
+    The ranks come from the canonical-order backtracking of _equal_split,
+    run once per distinct law, so outputs are reproducible.
     """
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
     if n == 1:
         return UniformGrid(resolution=1, ranks=(1,) * space.size)
-    blocks = filtration.f1.blocks
-    res = conditional_resolution(space, filtration)
-    if n is None:
-        if res == 0:
+    requested = n is not None
+    if not requested:
+        n = conditional_resolution(space, filtration)
+        if n == 0:
             raise ResolutionUnavailableError(
                 "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
             )
-        n = res
-    elif res == 0 or res % n:
-        for j, block in enumerate(blocks):
-            # an empty block caps the resolution at 0, though _split_exists passes it
-            if not block or not _split_exists([space.mass[i] for i in block], n):
+    ranks = [0] * space.size
+    splits: dict[tuple[Fraction, ...], list[list[int]]] = {}
+    for j, block in enumerate(filtration.f1.blocks):
+        law = space.given(block).mass
+        if law not in splits:
+            # an empty block cannot split, though _split_exists passes it
+            if not block or (requested and not _split_exists(law, n)):
                 raise ResolutionUnavailableError(
                     f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                     f"{n}-way equal-conditional-mass split"
                 )
-        raise ResolutionUnavailableError(
-            f"resolution unavailable: n={n} does not divide conditional resolution {res}"
-        )
-    ranks = [0] * space.size
-    splits: dict[tuple[Fraction, ...], list[list[int]]] = {}
-    for block in blocks:
-        law = space.given(block).mass
-        if law not in splits:
             splits[law] = _equal_split(law, n)
         for rank0, positions in enumerate(splits[law]):
             for pos in positions:

@@ -153,7 +153,9 @@ class DistortionFunction:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Finite dual set: probability vectors over the outcomes, in a fixed order."""
+    """Finite dual set: probability vectors over the outcomes, in a fixed order.
+
+    Each measure is checked however the set is built, through `of` or not."""
 
     measures: tuple[tuple[Scalar, ...], ...]
 
@@ -162,11 +164,9 @@ class ScenarioSet:
         """The measures in float, built once; equality and hash stay on `measures`."""
         return tuple(tuple(float(v) for v in q) for q in self.measures)
 
-    @classmethod
-    def of(cls, measures) -> "ScenarioSet":
+    def __post_init__(self):
         rows = []
-        for idx, q in enumerate(measures):
-            row = tuple(q)
+        for idx, row in enumerate(self.measures):
             if not all(isinstance(v, (Fraction, int)) or math.isfinite(v) for v in row):
                 raise ValueError(f"measure {idx} has a non-finite entry")
             total = sum(row)
@@ -175,12 +175,18 @@ class ScenarioSet:
                 raise ValueError(f"measure {idx} sums to {total}, not 1")
             if any(v < 0 if isinstance(v, (Fraction, int)) else v < -1e-12 for v in row):
                 raise ValueError(f"measure {idx} has a negative entry")
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(rows[0])}")
             # a float entry in the slack [-1e-12, 0) is stored as 0.0: given divides by block masses as small
             rows.append(tuple(v if isinstance(v, (Fraction, int)) or v >= 0 else 0.0 for v in row))
         if not rows:
             raise ValueError("scenario set must be nonempty")
+        object.__setattr__(self, "measures", tuple(rows))
+
+    @classmethod
+    def of(cls, measures) -> "ScenarioSet":
+        rows = [tuple(q) for q in measures]
+        for idx, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(rows[0])}")
         return cls(tuple(rows))
 
     @property

@@ -877,3 +877,16 @@ def test_block_values_and_core_bounds_of_slack_entries_lie_within_the_block_payo
             slack = 1e-12 * (1.0 + max(map(abs, on_block)))  # rounding of the conditioned weights
             assert low - slack <= u1.values[block[0]] <= high + slack
             assert low - slack <= core_bound(cu, x, block) <= high + slack
+
+
+def test_a_scenario_set_built_directly_keeps_the_rules_of_of():
+    # built without ScenarioSet.of, the slack entry stayed -1e-12 and weighed -1 on block (0, 1)
+    x = RandomVariable.of([5.0, 0.0, 0.0, 0.0])
+    for scenarios in (ScenarioSet(tuple(map(tuple, SLACK_ROWS))), ScenarioSet.of(SLACK_ROWS)):
+        assert scenarios.measures == ((0.0, 2e-12, 0.5, 0.499999999999),)
+        cu = ConditionalUtility(CoherentUtility.from_scenarios(scenarios), SPACE4, FILT4)
+        assert conditional_eval(cu, x).values[0] == 0.0
+        assert core_bound(cu, x, (0, 1)) == 0.0
+    # a negative entry far outside the slack gave u((5, 0, 0, 0)) = -2.5
+    with pytest.raises(ValueError, match="^measure 0 has a negative entry$"):
+        ScenarioSet(((-0.5, 1.5, 0.0, 0.0),))

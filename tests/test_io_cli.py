@@ -297,6 +297,14 @@ def test_cli_validate_reports_out_of_range_block_index(index, fmt, tmp_path, cap
         assert doc["conditional_resolution"] == 0
 
 
+def test_cli_validate_names_an_outcome_repeated_inside_one_block(tmp_path, capsys):
+    repeat = tmp_path / "repeat_in_block.json"
+    repeat.write_text(json.dumps({"masses": [[1, 4]] * 4, "f1_blocks": [[0, 0, 1], [2, 3]]}))
+    code, out, err = run_cli(["validate", "--space", str(repeat)], capsys)
+    assert code == 2 and err == ""
+    assert parse_report(out)["violations"] == ["f1: outcome 0 appears more than once in block 0"]
+
+
 def test_cli_validate_answers_a_block_longer_than_the_recursion_limit(tmp_path, capsys):
     flat = tmp_path / "flat_1030.json"
     flat.write_text(json.dumps({"masses": [[1, 1030]] * 1030, "f1_blocks": [list(range(1030))]}))

@@ -63,6 +63,13 @@ def test_validate_catches_structural_problems():
     assert any("more than one block" in v for v in report.violations)
 
 
+def test_validate_names_an_outcome_repeated_inside_one_block():
+    # the repeat was reported as `outcome 0 appears in more than one block`
+    space = OutcomeSpace.uniform(4)
+    report = validate(space, Filtration.two_period(space, [[0, 0, 1], [2, 3]]))
+    assert report.violations == ("f1: outcome 0 appears more than once in block 0",)
+
+
 def test_validate_rejects_nonpositive_mass_and_noncover():
     space = OutcomeSpace.from_masses([(3, 2), (-1, 2)])
     filt = Filtration(
@@ -218,13 +225,20 @@ def test_grid_unavailable_names_offending_block():
     assert "block 0" in str(exc.value)
 
 
-def test_grid_unavailable_divisibility_branch():
-    # the block splits 2 ways, but the resolution surrogate is 3 and 2 does not divide it
-    space = OutcomeSpace.from_masses([(1, 3), (1, 3), (1, 6), (1, 6)])
-    filt = Filtration.two_period(space, [[0, 1, 2, 3]])
-    with pytest.raises(ResolutionUnavailableError) as exc:
-        build_uniform_grid(space, filt, 2)
-    assert "does not divide" in str(exc.value)
+ODD_SPACE = OutcomeSpace.from_masses([(1, 3), (1, 3), (1, 6), (1, 6)])
+ODD_RESOLUTION = (ODD_SPACE, Filtration.two_period(ODD_SPACE, [[0, 1, 2, 3]]))  # one block, resolution 3
+
+
+def test_grid_at_an_n_that_does_not_divide_the_resolution():
+    # the block splits 2 ways though 2 does not divide its resolution 3; that n was refused
+    space, filt = ODD_RESOLUTION
+    assert conditional_resolution(space, filt) == 3
+    grid = build_uniform_grid(space, filt, 2)
+    assert grid.resolution == 2
+    (block,) = filt.f1.blocks
+    for k in range(3):
+        b_k = [i for i in block if grid.level_set(k).member[i]]
+        assert space.mass_of(b_k) / space.mass_of(block) == Fraction(k, 2)
 
 
 def test_grid_default_resolution():
@@ -289,7 +303,7 @@ def _canonical_resolution(space, filt):
 def _canonical_grid_ranks(space, filt, n):
     """build_uniform_grid's (n, ranks) for n = None or n >= 2 by the
     per-block canonical path: each block's _equal_split on its masses, the
-    first failure named, then the divisibility check."""
+    first failure named."""
     res = _canonical_resolution(space, filt)
     if n is None:
         if res == 0:
@@ -308,10 +322,6 @@ def _canonical_grid_ranks(space, filt, n):
         for rank0, positions in enumerate(split):
             for pos in positions:
                 ranks[block[pos]] = rank0 + 1
-    if res % n != 0:
-        raise ResolutionUnavailableError(
-            f"resolution unavailable: n={n} does not divide conditional resolution {res}"
-        )
     return n, tuple(ranks)
 
 
@@ -325,6 +335,7 @@ def test_split_exists_matches_canonical_split(masses):
 
 @settings(max_examples=100, deadline=None)
 @given(_filtered_spaces())
+@example(ODD_RESOLUTION)  # n = 2 does not divide the resolution 3
 def test_resolution_and_grid_match_canonical_path(case):
     space, filt = case
     assert conditional_resolution(space, filt) == _canonical_resolution(space, filt)
@@ -348,7 +359,7 @@ def test_split_exists_on_an_empty_block():
 def _three_phase_grid(space, filt, n=None):
     """build_uniform_grid's earlier control flow, the reference for its
     refusal-only block search: every block checked by _split_exists, then
-    the divisibility, then the canonical ranks."""
+    the canonical ranks."""
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
     if n == 1:
@@ -366,10 +377,6 @@ def _three_phase_grid(space, filt, n=None):
                 f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                 f"{n}-way equal-conditional-mass split"
             )
-    if res % n != 0:
-        raise ResolutionUnavailableError(
-            f"resolution unavailable: n={n} does not divide conditional resolution {res}"
-        )
     ranks = [0] * space.size
     for block in filt.f1.blocks:
         for rank0, positions in enumerate(_equal_split(space.given(block).mass, n)):
@@ -380,6 +387,7 @@ def _three_phase_grid(space, filt, n=None):
 
 @settings(max_examples=150, deadline=None)
 @given(_filtered_spaces().filter(lambda case: all(len(b) <= 8 for b in case[1].f1.blocks)))
+@example(ODD_RESOLUTION)  # n = 2 does not divide the resolution 3
 def test_grid_matches_three_phase_reference(case):
     space, filt = case
     for n in [None, *range(1, 10)]:
@@ -400,19 +408,19 @@ def test_grid_of_resolution_one_on_a_space_of_resolution_zero():
     assert build_uniform_grid(space, filt, 1) == UniformGrid(resolution=1, ranks=(1, 1, 1))
 
 
-def test_grid_searches_the_blocks_only_to_name_a_refusal(monkeypatch):
+def test_grid_searches_a_requested_n_once_per_distinct_block_law(monkeypatch):
     calls = []
     search = riskcal.space._split_exists
     monkeypatch.setattr(riskcal.space, "_split_exists", lambda masses, n: calls.append(n) or search(masses, n))
-    # the resolution of FILT8 is 4, decided on both blocks; 2 and 4 divide it
-    for n in (None, 2, 4):
+    # the default grid is the resolution 4 of FILT8, decided on both blocks; its two blocks share one law
+    for n, want in ((None, [4, 4]), (2, [2]), (4, [4])):
         calls.clear()
         build_uniform_grid(SPACE8, FILT8, n)
-        assert calls == [4, 4]
+        assert calls == want
     calls.clear()
     with pytest.raises(ResolutionUnavailableError, match="F1 block 0"):
         build_uniform_grid(SPACE8, FILT8, 3)
-    assert calls == [4, 4, 3]
+    assert calls == [3]
 
 
 def _recursive_equal_split(masses, n):

@@ -11,62 +11,9 @@ the exit code and the command; the last line gives a sha256 over all of
 them. Two checkouts give the same reports exactly when `diff` of their
 outputs is empty, and a differing line names the command that changed.
 
-The list covers every command on the 4 shipped spaces with the 6 shipped
-utilities in text and csv, `lift` at several `--grid-n`, both demos, and
-generated spaces: invalid ones (an F1 block naming outcome 99 or -1) and
-one block of 1030 equal masses. After those come the refusals: argparse
-usage errors and `--help` on every command, inputs that cannot be read and
-an `--out` that cannot be written, and negative `--probes` and `--seed`.
-Last come generated utility and space files that are malformed (knots
-that are not pairs, scenario entries that are not numbers, booleans where
-numbers belong), `lift` on all-zero payoffs and `lift --grid-n 0`, and
-last of all commands with two faults: `validate` of an invalid space with
-a utility that does not fit it, and `lift` with a malformed `--f` on a
-grid the space cannot give. After them come `validate` and `tc-check` of
-a scenario utility whose measures differ in length, in text and csv, and
-`lift` with a space-separated `--f` whose first entry is negative, in
-text and csv, and with `--f` given no value. Last come `lift` at the
-default grid under the expectation, whose report shows the canonical
-split, on two-block spaces with masses 1..k for k = 8 to 11, on one block
-of masses (2, 3, 3, 2, 2)/12 and on the 1030 equal masses, then
-`cone-check` of three distortions on a space whose F1 block mass 2/10**400
-underflows float64, in text and csv. Then `eval`, `tc-check --probes 20`
-and `cone-check --probes 20`, in text and csv, of a piecewise distortion
-on space_4, space_8 and space_12 and of two scenario sets that charge no
-outcome of space_4's second block, and last `lift` of a scenario base on
-two blocks of masses 1..14, which is refused before any grid search. Then
-`cone-check --probes 20` and `tc-check --probes 20`, in text and csv, on a
-space whose masses have denominators 5, 7, 4, 35, 15 and 12 (lcm 420), of
-the expectation, es(1/2), es(2/3), power(1/2) and piecewise and of a
-scenario set with float entries, and last `validate` of a scenario set on
-space_4 with the exact entry -1/10**13, which is refused. Then
-`tc-check --probes 20` and `cone-check --probes 20`, in text and csv, of
-the scenario set {P} on the underflow space and of a two-measure exact set
-with non-dyadic entries on a space of masses 1/5, 1/7, 3/10, 5/14, and
-`validate` of utility files with an unknown key at the top level and
-inside `utility`. Last come `eval` and `tc-check --probes 20`, in text and
-csv, of es(1/4) and of the non-dyadic es(2/7) on space_12 and
-space_product_64, and `cone-check --probes 20` of es(2/7) on space_8.
-After them come `tc-check --probes 20` and `cone-check --probes 20`, in
-text and csv, of the expectation, es(1/2), power(1/2) and piecewise on a
-space of masses 1..6/21 whose F1 blocks [5, 1, 3] and [4, 0, 2] interleave
-out of index order, and `validate` of a space file and a utility file that
-repeat a key. Last come `lift` at the default grid, in text and csv, of
-piecewise and of es(2/7) on space_4, space_8 and space_12, so that find_b
-inverts the psi table of every distortion kind, and last `demo
-incompatibility --seed 0` and `--seed 4294967296`, in text and csv. Then
-the branches no command above runs: `eval`, `lift`, `tc-check` and
-`cone-check` of the invalid space, `lift` with a `--f` of 3 entries, one
-holding nan and one not constant on an F1 block, `tc-check --probes 0` of
-es(1/2) on space_4 at `--tol` 0.5 and 0 (its ladder gap is exactly 0.5)
-and on the 1030 equal masses, past the ladder's limit, `lift` at the
-default grid on singleton blocks, `lift --grid-n 2` on one block of masses
-(1, 1, 1, 1, 2)/6, and `lift` whose first block sits at the wedge's
-corner; `validate` of malformed space files (one valid labelled space
-among them) and of utility files malformed in every way the parser or a
-constructor refuses; and last `tc-check` and `cone-check --probes 20`, in
-text and csv, of a scenario set on space_4 whose entry -1e-12 lies in the
-float slack. That makes 536 commands.
+The list is the commands of each group function in GROUPS, in order; each
+group's docstring says what it covers. A new group is one function, added
+at the end of GROUPS so that every earlier command keeps its line.
 Help and usage text wraps at the terminal width, so the battery runs at
 COLUMNS=80. tests/data/report_battery.txt holds this script's output, and
 tests/test_tools.py compares a fresh in-process run with it line by line.
@@ -207,6 +154,11 @@ BROKEN_FILES = {  # written as text, since some are not JSON or hold 1e400, whic
 # valid: an entry may dip to -1e-12, and block (0, 1) is charged with mass 1e-12 as given
 SLACK = {"utility_scenario_slack.json": {"utility": {"kind": "scenario",
                                                      "measures": [[-1e-12, 2e-12, 0.5, 0.499999999999]]}}}
+REQUESTED_GRIDS = {  # two blocks of masses (1, 1, 1, 1, 2)/12, and an outcome twice in one block
+    "two_blocks_twelfths.json": {"masses": [[m, 12] for m in (1, 1, 1, 1, 2)] * 2,
+                                 "f1_blocks": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]},
+    "repeat_in_block.json": {"masses": [[1, 4]] * 4, "f1_blocks": [[0, 0, 1], [2, 3]]},
+}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -222,8 +174,11 @@ def _payoffs(space_file: str) -> tuple[str, str]:
     return ",".join(map(repr, f)), ",".join(map(repr, g))
 
 
-def commands() -> list[list[str]]:
-    """The battery, in order; file arguments are names in the working directory."""
+def shipped() -> list[list[str]]:
+    """Every command on the shipped spaces with each shipped utility in text
+    and csv, `lift` at several `--grid-n`, both demos, and `validate` of the
+    generated spaces: invalid ones (an F1 block naming outcome 99 or -1) and
+    one block of 1030 equal masses."""
     cmds = []
     for space in SPACES:
         f, g = _payoffs(space)
@@ -245,7 +200,7 @@ def commands() -> list[list[str]]:
         cmds += [["demo", exhibit, *fmt] for fmt in FORMATS]
     for space in GENERATED:
         cmds += [["validate", "--space", space, *fmt] for fmt in FORMATS]
-    return cmds + refusals()
+    return cmds
 
 
 def refusals() -> list[list[str]]:
@@ -281,7 +236,7 @@ def refusals() -> list[list[str]]:
     ones, zeros = ",".join(["1.0"] * 1030), ",".join(["0.0"] * 1030)
     cmds.append(["lift", "--space", "flat_1030.json", "--utility", "utility_es_half.json",
                  "--f", ones, "--g", zeros, "--grid-n", "2"])
-    return cmds + malformed()
+    return cmds
 
 
 def malformed() -> list[list[str]]:
@@ -297,7 +252,7 @@ def malformed() -> list[list[str]]:
     zeros = ",".join(["0"] * 8)
     cmds += [[*lift, "--f", zeros, "--g", zeros, *fmt] for fmt in FORMATS]
     cmds.append([*lift, "--f", "1,1,1,1,0,0,0,0", "--g", zeros, "--grid-n", "0"])
-    return cmds + check_order()
+    return cmds
 
 
 def check_order() -> list[list[str]]:
@@ -307,21 +262,21 @@ def check_order() -> list[list[str]]:
         cmds += [["validate", "--space", "bad_index_99.json", "--utility", utility, *fmt] for fmt in FORMATS]
     cmds.append(["lift", "--space", "space_12.json", "--utility", "utility_es_half.json", "--grid-n", "5",
                  "--f=oops", "--g=" + ",".join(["0"] * 12)])
-    return cmds + ragged()
+    return cmds
 
 
 def ragged() -> list[list[str]]:
     """A scenario utility whose measures differ in length, refused as it is parsed."""
     base = ["--space", "space_4.json", "--utility", *RAGGED]
     cmds = [[*cmd, *fmt] for cmd in (["validate", *base], ["tc-check", *base, "--probes", "5"]) for fmt in FORMATS]
-    return cmds + negative_vectors()
+    return cmds
 
 
 def negative_vectors() -> list[list[str]]:
     """`lift` with `--f V` where V starts with a minus sign, and with `--f` given no value."""
     base = ["lift", "--space", "space_4.json", "--utility", "utility_es_half.json"]
     cmds = [[*base, "--f", "-1,-1,0,0", "--g", "0,0,1,1", *fmt] for fmt in FORMATS] + [[*base, "--f", "--g", "0,0,1,1"]]
-    return cmds + splits()
+    return cmds
 
 
 def splits() -> list[list[str]]:
@@ -336,7 +291,7 @@ def splits() -> list[list[str]]:
         cmds.append(["lift", "--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g])
     for utility in ("utility_es_half.json", "utility_expectation.json", "utility_power_half.json"):
         cmds += [["cone-check", "--space", *UNDERFLOW, "--utility", utility, "--probes", "3", *fmt] for fmt in FORMATS]
-    return cmds + conditioned()
+    return cmds
 
 
 def conditioned() -> list[list[str]]:
@@ -353,7 +308,7 @@ def conditioned() -> list[list[str]]:
                      ["cone-check", *both, "--probes", "20", *fmt]]
     space, utility = REFUSED_BEFORE_GRID
     f, g = _payoffs(space)
-    return cmds + [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g]] + mixed()
+    return cmds + [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g]]
 
 
 def mixed() -> list[list[str]]:
@@ -365,7 +320,7 @@ def mixed() -> list[list[str]]:
         both = ["--space", "mixed_denominators.json", "--utility", utility, "--probes", "20"]
         cmds += [[command, *both, *fmt] for command in ("cone-check", "tc-check") for fmt in FORMATS]
     cmds.append(["validate", "--space", "space_4.json", "--utility", "utility_scenario_tiny_negative.json"])
-    return cmds + exact_scenarios()
+    return cmds
 
 
 def exact_scenarios() -> list[list[str]]:
@@ -377,7 +332,7 @@ def exact_scenarios() -> list[list[str]]:
         both = ["--space", space, "--utility", utility, "--probes", "20"]
         cmds += [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
     cmds += [["validate", "--space", "space_4.json", "--utility", name] for name in UNKNOWN_KEYS]
-    return cmds + es_levels()
+    return cmds
 
 
 def es_levels() -> list[list[str]]:
@@ -390,7 +345,7 @@ def es_levels() -> list[list[str]]:
             cmds += [[*cmd, *fmt] for cmd in (["eval", *both], ["tc-check", *both, "--probes", "20"])
                      for fmt in FORMATS]
     both = ["--space", "space_8.json", "--utility", *NON_DYADIC_ES, "--probes", "20"]
-    return cmds + [["cone-check", *both, *fmt] for fmt in FORMATS] + quotient()
+    return cmds + [["cone-check", *both, *fmt] for fmt in FORMATS]
 
 
 def quotient() -> list[list[str]]:
@@ -403,7 +358,7 @@ def quotient() -> list[list[str]]:
         cmds += [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
     space, utility = DUPLICATE_KEYS
     cmds += [["validate", "--space", space], ["validate", "--space", "space_4.json", "--utility", utility]]
-    return cmds + psi_inverses()
+    return cmds
 
 
 def psi_inverses() -> list[list[str]]:
@@ -414,20 +369,21 @@ def psi_inverses() -> list[list[str]]:
         for space in SPACES[:3]:
             f, g = _payoffs(space)
             cmds += [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g, *fmt] for fmt in FORMATS]
-    return cmds + demo_seeds()
+    return cmds
 
 
 def demo_seeds() -> list[list[str]]:
     """`demo incompatibility` at the smallest seed and at 2**32, whose
     product-grid rows come from the probe stream of default_probes."""
-    return [["demo", "incompatibility", "--seed", seed, *fmt] for seed in ("0", "4294967296") for fmt in FORMATS] + edges()
+    return [["demo", "incompatibility", "--seed", seed, *fmt] for seed in ("0", "4294967296") for fmt in FORMATS]
 
 
 def edges() -> list[list[str]]:
     """Refusals of an invalid space and of malformed or non-measurable `--f`,
     `tc-check` of the es(1/2) ladder, whose gap is 0.5, at `--tol` 0.5 and 0
-    and of a space past the ladder's 1025 outcomes, `lift` on grids that are
-    refused, and `lift` at the wedge's corner."""
+    and of a space past the ladder's 1025 outcomes, `lift` at the default
+    grid on singleton blocks, which admit none, and at `--grid-n 2` on one
+    block whose resolution is 3, and `lift` at the wedge's corner."""
     base = ["--utility", "utility_es_half.json"]
     cmds = [[command, "--space", "bad_index_99.json", *base, *extra]
             for command, extra in (("eval", []), ("lift", ["--f", "1,1,0,0", "--g", "0,0,1,1"]), ("tc-check", []),
@@ -443,7 +399,7 @@ def edges() -> list[list[str]]:
          "--f", "0,0,0,0,0", "--g", "0.5,0.5,0.5,0.5,0.5", "--grid-n", "2"],
         ["lift", "--space", "space_4.json", *base, "--f", "1,1,0,0", "--g=-1,-1,0,0"],
     ]
-    return cmds + broken_files()
+    return cmds
 
 
 def broken_files() -> list[list[str]]:
@@ -457,6 +413,26 @@ def broken_files() -> list[list[str]]:
             cmds.append(["validate", "--space", "space_4.json", "--utility", name])
     both = ["--space", "space_4.json", "--utility", *SLACK, "--probes", "20"]
     return cmds + [[command, *both, *fmt] for command in ("tc-check", "cone-check") for fmt in FORMATS]
+
+
+def requested_grids() -> list[list[str]]:
+    """`lift` at `--grid-n` 2 and 3, in text and csv, on two blocks whose
+    resolution 3 is not a multiple of 2, then `validate` of a space that
+    repeats an outcome inside one block."""
+    space, repeat = REQUESTED_GRIDS
+    f, g = _payoffs(space)
+    both = ["--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g]
+    cmds = [["lift", *both, "--grid-n", n, *fmt] for n in ("2", "3") for fmt in FORMATS]
+    return cmds + [["validate", "--space", repeat, *fmt] for fmt in FORMATS]
+
+
+GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
+          exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids)
+
+
+def commands() -> list[list[str]]:
+    """The battery, in order; file arguments are names in the working directory."""
+    return [cmd for group in GROUPS for cmd in group()]
 
 
 def run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -481,7 +457,7 @@ def reports():
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
-                          **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK}.items():
+                          **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
