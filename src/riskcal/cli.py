@@ -297,10 +297,11 @@ def _demo_incompatibility(args: argparse.Namespace) -> Report:
 
     space_p, filt_p = load_space_file(packaged_data_path("space_product_64.json"))
     u_prod = load_utility_file(packaged_data_path("utility_product_8x8.json"))
+    mass_p = [float(m) for m in space_p.mass]  # once, for both linearity means
     max_err = 0.0
     for row in default_probes(OutcomeSpace.uniform(u_prod.k_alpha), 20, args.seed, nonnegative=True)[1:]:
         x = RandomVariable.from_block_values(row.values, filt_p.f1, space_p.size)
-        mean = sum(float(m) * v for m, v in zip(space_p.mass, x.values))
+        mean = sum(m * v for m, v in zip(mass_p, x.values))
         max_err = max(max_err, abs(u_prod.evaluate(x, space_p, filt_p) - mean))
     half = u_prod.k_x // 2
     nonlinear = [0.0] * space_p.size
@@ -308,7 +309,7 @@ def _demo_incompatibility(args: argparse.Namespace) -> Report:
         for pos, i in enumerate(block):
             nonlinear[i] = 4.0 if pos < half else 0.0
     x_nl = RandomVariable.of(nonlinear)
-    mean_nl = sum(float(m) * v for m, v in zip(space_p.mass, x_nl.values))
+    mean_nl = sum(m * v for m, v in zip(mass_p, x_nl.values))
     gap_nl = abs(u_prod.evaluate(x_nl, space_p, filt_p) - mean_nl)
 
     fields = {

@@ -202,15 +202,13 @@ def default_probes(
     nonnegative: bool = False,
 ) -> tuple[RandomVariable, ...]:
     """Crafted ladder probe plus `count` uniform draws from [-1, 1]^n
-    (or [0, 1]^n for utilities defined on nonnegative payoffs only)."""
+    (or [0, 1]^n for utilities defined on nonnegative payoffs only). The
+    draws turn into Python floats once, by one tolist() of the whole array."""
     import numpy as np  # here, so that importing riskcal does not load numpy
 
     rng = np.random.default_rng(seed)
-    probes = [crafted_ladder(space)]
-    low = 0.0 if nonnegative else -1.0
-    for row in rng.uniform(low, 1.0, size=(count, space.size)):
-        probes.append(RandomVariable.of(row))
-    return tuple(probes)
+    draws = rng.uniform(0.0 if nonnegative else -1.0, 1.0, size=(count, space.size)).tolist()
+    return (crafted_ladder(space), *(RandomVariable(tuple(row)) for row in draws))
 
 
 def tc_gap(

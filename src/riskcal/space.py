@@ -406,12 +406,15 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     requested n is checked by _split_exists once per distinct conditional
     law of a block, and the first block that cannot split n ways is named.
     The ranks come from the canonical-order backtracking of _equal_split,
-    run once per distinct law, so outputs are reproducible.
+    run once per distinct law, so outputs are reproducible. Blocks that do
+    not hold each outcome exactly once are refused, as ConditionalUtility does.
     """
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
     if n == 1:
         return UniformGrid(resolution=1, ranks=(1,) * space.size)
+    if sorted(i for b in filtration.f1.blocks for i in b) != list(range(space.size)):
+        raise ValueError(f"the F1 blocks must hold each of the {space.size} outcomes exactly once")
     requested = n is not None
     if not requested:
         n = conditional_resolution(space, filtration)

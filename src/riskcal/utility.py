@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 from .space import Filtration, OutcomeSpace, RandomVariable, _as_fraction, product_space
@@ -353,12 +353,13 @@ def product_grid_rows(
     k_alpha: int, k_x: int, space: OutcomeSpace, filtration: Filtration | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """The rows of the uniform (k_alpha x k_x) grid `space`: its F1 blocks, or
-    product_space's rows without a filtration; ValueError if it is not one."""
+    product_space's rows without a filtration; ValueError if it is not one.
+    Uniformity is read on the space's cached integer scale and weights: every
+    mass is 1/n exactly when the scale is n and every weight is 1."""
     n = k_alpha * k_x
     if space.size != n:
         raise ValueError(f"product grid mismatch: {space.size} outcomes, expected {k_alpha}x{k_x}={n}")
-    cell = Fraction(1, n)
-    if any(m != cell for m in space.mass):
+    if space.scale != n or space.weights != (1,) * n:
         raise ValueError("product grid mismatch: masses must be uniform")
     if filtration is None:
         filtration = product_space(k_alpha, k_x)[1]
@@ -380,20 +381,25 @@ def product_example_eval(
     Each F1 block is a row with its own power distortion p^(1+alpha_row),
     alpha_row the midpoint (r+1/2)/k_alpha; the outer integral over rows is
     the midpoint rule with uniform weights. Defined for nonnegative payoffs
-    only.
+    only. The grid is checked on every call; the row law and the row
+    distortions are built once per (k_alpha, k_x).
     """
     rows = product_grid_rows(k_alpha, k_x, space, filtration)
     if len(x.values) != space.size:
         raise ValueError(f"payoff has {len(x.values)} entries for {space.size} outcomes")
     if any(v < 0 for v in x.values):
         raise ValueError("example defined for ξ ≥ 0")
-    row_space = OutcomeSpace.uniform(k_x)
+    row_space, row_psis = _product_rows(k_alpha, k_x)
     total = 0.0
-    for r, block in enumerate(rows):
-        alpha_row = (r + 0.5) / k_alpha
-        row_vals = RandomVariable(tuple(x.values[i] for i in block))
-        total += choquet_eval(row_vals, DistortionFunction.power(alpha_row), row_space)
+    for block, psi in zip(rows, row_psis):
+        total += choquet_eval(RandomVariable(tuple(x.values[i] for i in block)), psi, row_space)
     return total / k_alpha
+
+
+@cache
+def _product_rows(k_alpha: int, k_x: int) -> tuple[OutcomeSpace, tuple[DistortionFunction, ...]]:
+    """The uniform row law and each row's power distortion of a (k_alpha x k_x) grid."""
+    return OutcomeSpace.uniform(k_x), tuple(DistortionFunction.power((r + 0.5) / k_alpha) for r in range(k_alpha))
 
 
 def is_commonotone_pair(

@@ -890,3 +890,15 @@ def test_a_scenario_set_built_directly_keeps_the_rules_of_of():
     # a negative entry far outside the slack gave u((5, 0, 0, 0)) = -2.5
     with pytest.raises(ValueError, match="^measure 0 has a negative entry$"):
         ScenarioSet(((-0.5, 1.5, 0.0, 0.0),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**128), st.integers(1, 64), st.integers(0, 50), st.booleans())
+def test_default_probes_match_the_per_element_conversion(seed, size, count, nonnegative):
+    # the reference turns each row of the same default_rng stream through RandomVariable.of
+    space = OutcomeSpace.uniform(size)
+    rows = np.random.default_rng(seed).uniform(0.0 if nonnegative else -1.0, 1.0, size=(count, size))
+    want = (crafted_ladder(space), *(RandomVariable.of(row) for row in rows))
+    got = default_probes(space, count, seed, nonnegative)
+    assert got == want
+    assert all(type(v) is float for x in got for v in x.values)

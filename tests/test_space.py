@@ -584,3 +584,13 @@ def test_conditional_mass_refuses_a_nan_level():
     grid = UniformGrid(resolution=2, ranks=(1, 2))
     with pytest.raises(ValueError, match=r"h value nan outside \[0, 1\]"):
         set_with_conditional_mass(space, filt, grid, RandomVariable.of([float("nan"), 0.5]))
+
+
+def test_grid_refuses_f1_blocks_that_do_not_partition_the_outcomes():
+    # the grid gave ranks (1, 2, 0, 0), (0, 0, 0, 0) and (1, 1, 2, 0): rank 0 lies outside 1..n
+    space = OutcomeSpace.uniform(4)
+    for blocks in ([[0, 1]], [], [[0, 1], [1, 2]]):
+        filtration = Filtration.two_period(space, blocks)
+        for n in (2, None):
+            with pytest.raises(ValueError, match="^the F1 blocks must hold each of the 4 outcomes exactly once$"):
+                build_uniform_grid(space, filtration, n)

@@ -23,6 +23,7 @@ from riskcal import (
     core_vertex,
     is_commonotone_pair,
     product_example_eval,
+    product_grid_rows,
     product_space,
     relevance_check,
     scenario_min_eval,
@@ -748,3 +749,47 @@ def test_scenario_given_conditions_exact_rows_like_p(case):
         assert floats == tuple(float(v) for v in want)
         if all(isinstance(v, Fraction) for v in q):
             assert row == want and all(type(v) is Fraction for v in row)
+
+
+@st.composite
+def product_grid_spaces(draw):
+    """A (k_alpha, k_x) grid of at most 4 x 4 and masses on its outcomes:
+    uniform, or one mass moved by +-1/(n * 2**k) and another by the opposite."""
+    k_alpha, k_x = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = k_alpha * k_x
+    masses = [Fraction(1, n)] * n
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        step = draw(st.sampled_from([1, -1])) * Fraction(1, n * 2 ** draw(st.integers(0, 12)))
+        masses[i] += step
+        masses[j] -= step
+    return k_alpha, k_x, OutcomeSpace.from_masses(masses)
+
+
+def _product_reference(x, k_alpha, k_x, rows):
+    """product_example_eval as it was written: the row law and each row's power distortion built per call."""
+    total = 0.0
+    for r, block in enumerate(rows):
+        row_vals = RandomVariable(tuple(x.values[i] for i in block))
+        total += choquet_eval(row_vals, DistortionFunction.power((r + 0.5) / k_alpha), OutcomeSpace.uniform(k_x))
+    return total / k_alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_grid_spaces(), st.data())
+@example((2, 2, OutcomeSpace.from_masses([(1, 2), (1, 4), (1, 8), (1, 8)])), None)
+@example((2, 2, OutcomeSpace.from_masses([(1, 8)] * 4)), None)
+def test_product_grid_checks_integer_weights_and_evaluates_as_the_per_call_reference(case, data):
+    k_alpha, k_x, space = case
+    uniform = all(m == Fraction(1, k_alpha * k_x) for m in space.mass)
+    for filtration in (None, product_space(k_alpha, k_x)[1]):
+        if not uniform:
+            with pytest.raises(ValueError, match="^product grid mismatch: masses must be uniform$"):
+                product_grid_rows(k_alpha, k_x, space, filtration)
+            continue
+        rows = product_grid_rows(k_alpha, k_x, space, filtration)
+        assert rows == product_space(k_alpha, k_x)[1].f1.blocks
+        values = data.draw(st.lists(st.floats(0, 10), min_size=space.size, max_size=space.size))
+        x = RandomVariable.of(values)
+        got = product_example_eval(x, k_alpha, k_x, space, filtration)
+        assert got == _product_reference(x, k_alpha, k_x, rows)

@@ -159,6 +159,12 @@ REQUESTED_GRIDS = {  # two blocks of masses (1, 1, 1, 1, 2)/12, and an outcome t
                                  "f1_blocks": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]},
     "repeat_in_block.json": {"masses": [[1, 4]] * 4, "f1_blocks": [[0, 0, 1], [2, 3]]},
 }
+PRODUCT_GRIDS = {  # 64 outcomes that utility_product_8x8.json refuses: one mass moved by 1/4096, or 4 F1 blocks
+    "product_moved_mass.json": {"masses": [[65, 4096], [63, 4096]] + [[1, 64]] * 62,
+                                "f1_blocks": [list(range(r * 8, r * 8 + 8)) for r in range(8)]},
+    "product_four_blocks.json": {"masses": [[1, 64]] * 64,
+                                 "f1_blocks": [list(range(r * 16, r * 16 + 16)) for r in range(4)]},
+}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -426,8 +432,16 @@ def requested_grids() -> list[list[str]]:
     return cmds + [["validate", "--space", repeat, *fmt] for fmt in FORMATS]
 
 
+def product_grids() -> list[list[str]]:
+    """`validate` and `eval` of the 8x8 product utility, in text and csv, on a
+    64-outcome space with one mass moved by 1/4096 and on a uniform one of 4 F1 blocks."""
+    return [[command, "--space", space, "--utility", "utility_product_8x8.json", *fmt]
+            for space in PRODUCT_GRIDS for command in ("validate", "eval") for fmt in FORMATS]
+
+
 GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
-          exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids)
+          exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids,
+          product_grids)
 
 
 def commands() -> list[list[str]]:
@@ -457,7 +471,8 @@ def reports():
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
-                          **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS}.items():
+                          **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS,
+                          **PRODUCT_GRIDS}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
