@@ -44,10 +44,8 @@ __all__ = [
     "ConditionalUtility",
     "TimeConsistencyReport",
     "conditional_eval",
-    "conditional_eval_with_flags",
     "blockwise_eval",
     "recompose",
-    "two_period_eval",
     "tc_gap",
     "core_bound",
     "cone_decompose",
@@ -133,18 +131,12 @@ def blockwise_eval(
     back to the conditional expectation under P. Conditions every block anew.
     """
     cu = ConditionalUtility(base, space, Filtration.two_period(space, partition.blocks))
-    return conditional_eval_with_flags(cu, x)
+    return conditional_eval(cu, x), cu.fallbacks
 
 
 def conditional_eval(cu: ConditionalUtility, x: RandomVariable) -> RandomVariable:
     """One-period conditional utility of x given F1 (blockwise base evaluation)."""
     return RandomVariable.from_block_values(_block_values(cu, x), cu.filtration.f1, cu.space.size)
-
-
-def conditional_eval_with_flags(cu: ConditionalUtility, x: RandomVariable) -> tuple[RandomVariable, tuple[int, ...]]:
-    """conditional_eval plus cu.fallbacks, the block indices where the
-    scenario fallback stands in; they depend on cu alone, not on x."""
-    return conditional_eval(cu, x), cu.fallbacks
 
 
 def _block_values(cu: ConditionalUtility, x: RandomVariable) -> list[float]:
@@ -167,11 +159,6 @@ def _measurable_value(cu: ConditionalUtility, values) -> float:
     if cu.base.kind == "distortion":
         return cu.base.evaluate(RandomVariable(tuple(values)), cu.quotient)
     x = RandomVariable.from_block_values(values, cu.filtration.f1, cu.space.size)
-    return cu.base.evaluate(x, cu.space, cu.filtration)
-
-
-def two_period_eval(cu: ConditionalUtility, x: RandomVariable) -> float:
-    """Direct value over both periods at once."""
     return cu.base.evaluate(x, cu.space, cu.filtration)
 
 
@@ -230,7 +217,7 @@ def tc_gap(
     max_gap = -1.0
     witness = probes[0]
     for pid, x in enumerate(probes):
-        direct = two_period_eval(cu, x)
+        direct = cu.base.evaluate(x, cu.space, cu.filtration)
         recomposed = recompose(cu, x)
         gap = abs(direct - recomposed)
         if not math.isfinite(gap):  # else NaN passes: it never exceeds max_gap
@@ -303,7 +290,7 @@ def cone_decompose(
     conditionally acceptable by construction and nudged so that
     eta + zeta == x bit for bit, or (False, None).
     """
-    direct = two_period_eval(cu, x)
+    direct = cu.base.evaluate(x, cu.space, cu.filtration)
     if direct < -GAP_TOL:
         raise ValueError(f"not acceptable: u02(x) = {direct}")
     eta_cap = _acceptable_cap(cu, x)

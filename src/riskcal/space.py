@@ -48,10 +48,17 @@ def _as_fraction(m) -> Fraction:
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Finite sample space with one exact rational mass per outcome; `scale` W
-    (the lcm of the denominators) and the integer `weights` mass * W are cached."""
+    (the lcm of the denominators) and the integer `weights` mass * W are cached.
+    A mass that is not an int or a Fraction is refused here; the values and
+    the count of the masses are left to `validate`."""
 
     outcomes: tuple[str, ...]
     mass: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for i, m in enumerate(self.mass):
+            if not isinstance(m, (int, Fraction)):
+                raise ValueError(f"mass {i} is {m!r}, not an int or a Fraction")
 
     @classmethod
     def uniform(cls, n: int) -> "OutcomeSpace":
@@ -306,18 +313,19 @@ def conditional_expectation(x: RandomVariable, given: Partition, space: OutcomeS
     return RandomVariable(tuple(out))
 
 
-def _place(items: Sequence, n: int, room, smallest) -> list[int] | None:
+def _place(items: Sequence, n: int, room) -> list[int] | None:
     """Each item's group when the items fill n groups of `room` each, or None.
 
     Deterministic: items are placed in the order given, each into the
     lowest-index group whose room fits it; a room already tried for the
     current item is skipped, since groups of equal room are interchangeable,
-    and a branch stops when it leaves a room above 0 but below `smallest`,
-    which no item can fill. The cut prunes only branches that hold no
+    and a branch stops when it leaves a room above 0 but below the smallest
+    item, which no item can fill. The cut prunes only branches that hold no
     placement, so the first placement found does not depend on it. Complete
     backtracking on an explicit stack, so None means no placement exists and
     a long block needs no recursion. The items must sum to n * room.
     """
+    smallest = min(items, default=0)
     rooms = [room] * n
     placed: list[int] = []  # placed[k] is the group of items[k]
     tried_at: list[set] = []  # tried_at[k] holds the rooms already tried for items[k]
@@ -356,7 +364,7 @@ def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
     target = sum(masses, Fraction(0)) / n
     if any(m > target for m in masses):
         return None
-    placed = _place(masses, n, target, min(masses, default=0))
+    placed = _place(masses, n, target)
     if placed is None:
         return None
     groups: list[list[int]] = [[] for _ in range(n)]
@@ -377,7 +385,7 @@ def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
     total = sum(weights)
     if total % n or max(weights, default=0) > total // n:
         return False
-    return _place(weights, n, total // n, min(weights, default=0)) is not None
+    return _place(weights, n, total // n) is not None
 
 
 def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:

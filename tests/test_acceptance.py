@@ -33,7 +33,6 @@ from riskcal import (
     lift_pair,
     product_space,
     tc_gap,
-    two_period_eval,
 )
 from riskcal.io import load_space_file, load_utility_file, packaged_data_path
 
@@ -384,7 +383,7 @@ def test_acceptance_9_cone_decomposition():
 
         checked = 0
         for x in default_probes(space4, 300, SEED):
-            if two_period_eval(cu_lin, x) < 0.0:
+            if cu_lin.base.evaluate(x, cu_lin.space, cu_lin.filtration) < 0.0:
                 continue
             feasible, witness = cone_decompose(cu_lin, x)
             assert feasible and witness is not None
@@ -401,7 +400,7 @@ def test_acceptance_9_cone_decomposition():
         es_half = load_utility_file(data("utility_es_half.json"))
         cu_es = ConditionalUtility(es_half, space4, filt4)
         centered = crafted_ladder(space4) + RandomVariable.constant(-0.5, 4)
-        assert two_period_eval(cu_es, centered) >= -TOL   # acceptable at time 0
+        assert cu_es.base.evaluate(centered, cu_es.space, cu_es.filtration) >= -TOL   # acceptable at time 0
         feasible, witness = cone_decompose(cu_es, centered)
         assert not feasible and witness is None
         info["detail"] = (

@@ -19,7 +19,6 @@ from riskcal import (
     blockwise_eval,
     conditional_commonotone_additivity_check,
     conditional_eval,
-    conditional_eval_with_flags,
     conditional_expectation,
     cone_decompose,
     core_bound,
@@ -29,7 +28,6 @@ from riskcal import (
     recompose,
     scenario_min_eval,
     tc_gap,
-    two_period_eval,
 )
 
 SPACE4 = OutcomeSpace.uniform(4)
@@ -126,7 +124,7 @@ def test_scenario_base_conditions_each_measure():
     ])
     cu = ConditionalUtility(CoherentUtility.from_scenarios(s), SPACE4, FILT4)
     x = RandomVariable.of([1.0, 0.0, 3.0, 1.0])
-    got, flags = conditional_eval_with_flags(cu, x)
+    got, flags = conditional_eval(cu, x), cu.fallbacks
     assert flags == ()
     assert got.values[0] == pytest.approx(0.5, abs=1e-12)   # both condition to (1/2, 1/2)
     assert got.values[2] == pytest.approx(2.0, abs=1e-12)   # only the uniform one charges block 2
@@ -136,7 +134,7 @@ def test_scenario_base_zero_mass_fallback_flag():
     s = ScenarioSet.of([[Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)]])
     cu = ConditionalUtility(CoherentUtility.from_scenarios(s), SPACE4, FILT4)
     x = RandomVariable.of([1.0, 0.0, 3.0, 1.0])
-    got, flags = conditional_eval_with_flags(cu, x)
+    got, flags = conditional_eval(cu, x), cu.fallbacks
     assert flags == (1,)
     assert got.values[2] == pytest.approx(2.0, abs=1e-12)   # conditional mean under P
 
@@ -158,7 +156,7 @@ def test_recompose_expectation_is_tower():
 
 def test_recompose_measurable_equals_direct():
     x = RandomVariable.of([1.5, 1.5, -0.5, -0.5])
-    assert recompose(CU4_ES, x) == pytest.approx(two_period_eval(CU4_ES, x), abs=1e-12)
+    assert recompose(CU4_ES, x) == pytest.approx(CU4_ES.base.evaluate(x, CU4_ES.space, CU4_ES.filtration), abs=1e-12)
 
 
 # ------------------------------------------------------------------ tc_gap
@@ -219,7 +217,7 @@ def test_default_probes_shape_and_determinism():
 
 def test_cone_infeasible_at_centered_probe():
     centered = LADDER4 - 0.5
-    assert two_period_eval(CU4_ES, centered) == pytest.approx(0.0, abs=1e-12)
+    assert CU4_ES.base.evaluate(centered, CU4_ES.space, CU4_ES.filtration) == pytest.approx(0.0, abs=1e-12)
     feasible, witness = cone_decompose(CU4_ES, centered)
     assert not feasible
     assert witness is None
@@ -230,7 +228,7 @@ def test_cone_feasible_for_expectation_base():
     found = 0
     while found < 25:
         x = RandomVariable.of(rng.uniform(-1, 1, size=4))
-        if two_period_eval(CU4_EXP, x) < 0:
+        if CU4_EXP.base.evaluate(x, CU4_EXP.space, CU4_EXP.filtration) < 0:
             continue
         found += 1
         feasible, witness = cone_decompose(CU4_EXP, x)
@@ -238,11 +236,11 @@ def test_cone_feasible_for_expectation_base():
         eta, zeta = witness
         assert eta.is_measurable(FILT4.f1)
         assert all(e + z == v for e, z, v in zip(eta.values, zeta.values, x.values))
-        assert two_period_eval(CU4_EXP, eta) >= -1e-9
+        assert CU4_EXP.base.evaluate(eta, CU4_EXP.space, CU4_EXP.filtration) >= -1e-9
         for block in FILT4.f1.blocks:
             masked = RandomVariable.of(
                 [zeta.values[i] if i in block else 0.0 for i in range(4)])
-            assert two_period_eval(CU4_EXP, masked) >= -1e-9
+            assert CU4_EXP.base.evaluate(masked, CU4_EXP.space, CU4_EXP.filtration) >= -1e-9
 
 
 def test_cone_measurable_probe_witnessed_by_itself():
@@ -263,7 +261,7 @@ def test_cone_feasible_case_for_es():
     x = RandomVariable.of([0.0, 0.0, 2.0, 2.0])
     feasible, (eta, zeta) = cone_decompose(CU4_ES, x)
     assert feasible
-    assert two_period_eval(CU4_ES, eta) >= -1e-9
+    assert CU4_ES.base.evaluate(eta, CU4_ES.space, CU4_ES.filtration) >= -1e-9
 
 
 def test_cone_scenario_base():
@@ -275,7 +273,7 @@ def test_cone_scenario_base():
     x = RandomVariable.of([0.5, 0.5, 1.0, 1.0])
     feasible, (eta, zeta) = cone_decompose(cu, x)
     assert feasible
-    assert two_period_eval(cu, eta) >= -1e-9
+    assert cu.base.evaluate(eta, cu.space, cu.filtration) >= -1e-9
 
 
 def test_tc_gap_check_cones_collects_verdicts():
@@ -337,13 +335,13 @@ def test_core_bound_matches_vertex_enumeration(case):
     for raw, lift in payoffs:
         # shift onto the acceptance boundary (plus a lift), where verdicts split
         y = RandomVariable.of([v / 4 for v in raw])
-        x = y - two_period_eval(cu, y) + lift
+        x = y - cu.base.evaluate(y, cu.space, cu.filtration) + lift
         scale = max(abs(v) for v in x.values)
         caps = [_enumerated_core_bound(vertices, x, block) for block in blocks]
         for block, cap in zip(blocks, caps):
             assert abs(core_bound(cu, x, block) - cap) <= 1e-12 * scale
         eta = RandomVariable.from_block_values(caps, cu.filtration.f1, cu.space.size)
-        value = two_period_eval(cu, eta)
+        value = cu.base.evaluate(eta, cu.space, cu.filtration)
         if abs(value + 1e-12) <= 1e-13 * scale:
             continue  # within float noise of the feasibility threshold
         feasible, witness = cone_decompose(cu, x)
@@ -501,7 +499,7 @@ def test_reused_conditioning_matches_fresh_per_call_path(case):
     cu, payoffs = case
     for x in payoffs:  # one ConditionalUtility serves every payoff
         want, want_flags = blockwise_eval(cu.base, cu.space, cu.filtration.f1, x)
-        assert conditional_eval_with_flags(cu, x) == (want, want_flags)
+        assert (conditional_eval(cu, x), cu.fallbacks) == (want, want_flags)
         assert conditional_eval(cu, x) == want
         assert recompose(cu, x) == cu.base.evaluate(want, cu.space, cu.filtration)
         for block in cu.filtration.f1.blocks:
@@ -528,16 +526,17 @@ def test_tc_gap_conditions_each_block_once(base, monkeypatch):
 
 
 def test_tc_gap_evaluates_each_direct_value_once(monkeypatch):
-    import riskcal.conditional as conditional
-
+    # a distortion base evaluates on cu.space only for the direct value:
+    # blocks evaluate on their conditional laws, recomposition on the quotient
     calls = []
-    direct_once = conditional.two_period_eval
+    evaluate_once = CoherentUtility.evaluate
 
-    def counting_direct(cu, x):
-        calls.append(x)
-        return direct_once(cu, x)
+    def counting_evaluate(self, x, space, filtration=None):
+        if space is CU8_ES.space:
+            calls.append(x)
+        return evaluate_once(self, x, space, filtration)
 
-    monkeypatch.setattr(conditional, "two_period_eval", counting_direct)
+    monkeypatch.setattr(CoherentUtility, "evaluate", counting_evaluate)
     probes = default_probes(SPACE8, 40)
     report = tc_gap(CU8_ES, probes, check_cones=True)
     assert report.cone_verdicts  # the ladder probe at least is acceptable
@@ -557,7 +556,7 @@ def test_conditional_evaluation_refuses_a_payoff_of_another_length(values):
     x = RandomVariable.of(values)
     message = f"^payoff has {len(values)} entries for 4 outcomes$"
     with pytest.raises(ValueError, match=message):
-        conditional_eval_with_flags(CU4_ES, x)
+        (conditional_eval(CU4_ES, x), CU4_ES.fallbacks)
     with pytest.raises(ValueError, match=message):
         tc_gap(CU4_ES, [x])
 
@@ -683,7 +682,7 @@ def test_scenario_set_of_p_charges_a_block_whose_float_mass_underflows():
     filt = Filtration.two_period(UNDERFLOW, [[0, 3], [1, 2]])
     p_only = ConditionalUtility(CoherentUtility.from_scenarios(ScenarioSet.of([UNDERFLOW.mass])), UNDERFLOW, filt)
     x = RandomVariable.of([1.0, -0.5, 0.25, -1.0])
-    assert conditional_eval_with_flags(p_only, x)[1] == ()
+    assert (conditional_eval(p_only, x), p_only.fallbacks)[1] == ()
     assert core_bound(p_only, x, [0, 3]) == core_bound(ConditionalUtility(EXPECT, UNDERFLOW, filt), x, [0, 3]) == 0.0
 
 
@@ -754,7 +753,7 @@ def test_recompose_on_the_quotient_equals_the_full_space_value(case):
         for y in (x, shifted):
             got, want = recompose(cu, y), _full_space_recompose(cu, y)
             assert got == want and repr(got) == repr(want)  # repr tells 0.0 from -0.0
-            if two_period_eval(cu, y) >= 0.0:
+            if cu.base.evaluate(y, cu.space, cu.filtration) >= 0.0:
                 feasible, witness = cone_decompose(cu, y)
                 want_feasible, want_witness = _full_space_cone_split(cu, y)
                 assert feasible == want_feasible and witness == want_witness
@@ -763,7 +762,7 @@ def test_recompose_on_the_quotient_equals_the_full_space_value(case):
 # ------------------------------- per-block facts decided once per instance
 
 def _per_payoff_flags(cu, x):
-    """conditional_eval_with_flags as it was collected for every payoff:
+    """(conditional_eval(cu, x), cu.fallbacks) as it was collected for every payoff:
     each block's value and fallback flag read from cu.conditioned in turn."""
     values, fallbacks = [], []
     for bi, (block, (u, law, fallback)) in enumerate(cu.conditioned.items()):
@@ -814,7 +813,7 @@ def test_fallbacks_match_the_per_payoff_collection(case):
     cu, payoffs = case
     for x in payoffs:
         want = _per_payoff_flags(cu, x)
-        assert conditional_eval_with_flags(cu, x) == want
+        assert (conditional_eval(cu, x), cu.fallbacks) == want
         assert cu.fallbacks == want[1]
 
 
@@ -823,7 +822,8 @@ def test_fallbacks_match_the_per_payoff_collection(case):
 def test_cone_verdicts_match_cone_decompose(case):
     cu, payoffs = case
     report = tc_gap(cu, payoffs, check_cones=True)
-    want = [(pid, cone_decompose(cu, x)[0]) for pid, x in enumerate(payoffs) if two_period_eval(cu, x) >= 0.0]
+    want = [(pid, cone_decompose(cu, x)[0]) for pid, x in enumerate(payoffs)
+            if cu.base.evaluate(x, cu.space, cu.filtration) >= 0.0]
     assert want  # the shifted copies are nonnegative, so acceptable
     assert list(report.cone_verdicts) == want
 

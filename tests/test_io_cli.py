@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import riskcal.cli as cli
 import riskcal.lift
-from riskcal import ConditionalUtility, default_probes, two_period_eval, validate
+from riskcal import ConditionalUtility, default_probes, validate
 from riskcal.cli import build_parser, main
 from riskcal.io import (
     SchemaError,
@@ -444,7 +444,8 @@ def test_cli_cone_check_beyond_enumeration_size(space_name, capsys):
     space, filtration = load_space_file(packaged_data_path(space_name))
     cu = ConditionalUtility(load_utility_file(packaged_data_path("utility_es_half.json")), space, filtration)
     acceptable = [
-        pid for pid, x in enumerate(default_probes(space, 200, 1729)) if two_period_eval(cu, x) >= 0.0
+        pid for pid, x in enumerate(default_probes(space, 200, 1729))
+        if cu.base.evaluate(x, cu.space, cu.filtration) >= 0.0
     ]
     assert acceptable
     assert [v["probe_id"] for v in doc["verdicts"]] == acceptable

@@ -1,5 +1,6 @@
 """Exact-arithmetic checks for spaces, partitions, grids and conditional masses."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,25 @@ def test_validate_reports_more_masses_than_outcomes():
     space = OutcomeSpace(("a", "b"), (Fraction(1, 3),) * 3)
     assert validate(space, Filtration.two_period(space, [[0, 1]])).violations == (
         "mass vector length 3 != 2 outcomes",)
+
+
+@pytest.mark.parametrize("masses, index, shown", [
+    ((0.25,) * 4, 0, "0.25"),
+    ((Fraction(1, 2), Fraction(1, 4), "1/4"), 2, "'1/4'"),
+])
+def test_outcome_space_refuses_a_mass_that_is_not_an_int_or_a_fraction(masses, index, shown):
+    # float masses passed choquet_eval, then raised AttributeError in core_vertex and product_grid_rows
+    with pytest.raises(ValueError, match=rf"^mass {index} is {re.escape(shown)}, not an int or a Fraction$"):
+        OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), masses)
+
+
+def test_outcome_space_leaves_zero_negative_and_extra_masses_to_validate():
+    space = OutcomeSpace(("a", "b", "c"), (0, Fraction(3, 2), -1, Fraction(1, 2)))
+    assert validate(space, Filtration.two_period(space, [[0, 1, 2]])).violations == (
+        "mass vector length 4 != 3 outcomes",
+        "outcome 0 has non-positive mass 0",
+        "outcome 2 has non-positive mass -1",
+    )
 
 
 def test_partition_refinement():
