@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .space import Filtration, OutcomeSpace, Partition, RandomVariable
+from .space import Filtration, OutcomeSpace, Partition, RandomVariable, _non_positive_masses
 from .utility import CoherentUtility, _marginal_numerators, is_commonotone_pair
 
 __all__ = [
@@ -67,10 +67,11 @@ GAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConditionalUtility:
-    """A base utility bound to a space and a two-period filtration whose F1
-    blocks partition the outcomes. Built on first use, so that no probe
-    conditions a block again: `conditioned`, CoherentUtility.given's (utility,
-    law, fallback) per F1 block; `fallbacks`, the indices of the blocks where
+    """A base utility bound to a space of positive masses (a mass <= 0 is
+    refused with validate's line) and a two-period filtration whose F1 blocks
+    partition the outcomes. Built on first use, so that no probe conditions a
+    block again: `conditioned`, CoherentUtility.given's (utility, law,
+    fallback) per F1 block; `fallbacks`, the indices of the blocks where
     no scenario measure charges the block and the expectation stands in; and
     `quotient`, one outcome per F1 block, in f1.blocks order, with its exact mass."""
 
@@ -87,6 +88,8 @@ class ConditionalUtility:
         blocks, n = self.filtration.f1.blocks, self.space.size
         if not all(blocks) or sorted(i for b in blocks for i in b) != list(range(n)):
             raise ValueError(f"the F1 blocks must be nonempty and hold each of the {n} outcomes exactly once")
+        if non_positive := _non_positive_masses(self.space):
+            raise ValueError(non_positive[0])
         self.base.check_space(self.space, self.filtration)
 
     @cached_property

@@ -40,6 +40,8 @@ class ResolutionUnavailableError(ValueError):
 
 def _as_fraction(m) -> Fraction:
     """An exact rational from a (num, den) pair or anything Fraction takes."""
+    if isinstance(m, Fraction):
+        return m
     if isinstance(m, (tuple, list)) and len(m) == 2:
         return Fraction(int(m[0]), int(m[1]))
     return Fraction(m)
@@ -48,9 +50,10 @@ def _as_fraction(m) -> Fraction:
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Finite sample space with one exact rational mass per outcome; `scale` W
-    (the lcm of the denominators) and the integer `weights` mass * W are cached.
-    A mass that is not an int or a Fraction is refused here; the values and
-    the count of the masses are left to `validate`."""
+    (the lcm of the denominators) and the integer `weights` mass * W are cached,
+    and every mass decision (block masses, conditional laws, validate's signs
+    and sum) is made on them. A mass that is not an int or a Fraction is
+    refused here; the values and the count of the masses are left to `validate`."""
 
     outcomes: tuple[str, ...]
     mass: tuple[Fraction, ...]
@@ -84,12 +87,15 @@ class OutcomeSpace:
         return tuple(m.numerator * (self.scale // m.denominator) for m in self.mass)
 
     def mass_of(self, indices: Iterable[int]) -> Fraction:
-        return sum((self.mass[i] for i in indices), Fraction(0))
+        """P[indices] exactly, as the sum of their weights over `scale`."""
+        return Fraction(sum(self.weights[i] for i in indices), self.scale)
 
     def given(self, block: Sequence[int]) -> "OutcomeSpace":
-        """The outcomes of `block` under the conditional law, masses mass[i] / P[block] exactly."""
-        bm = self.mass_of(block)
-        return OutcomeSpace(tuple(self.outcomes[i] for i in block), tuple(self.mass[i] / bm for i in block))
+        """The outcomes of `block` under the conditional law: mass[i] / P[block]
+        exactly, built as weights[i] over the block's weight sum."""
+        weights = self.weights
+        total = sum(weights[i] for i in block)
+        return OutcomeSpace(tuple(self.outcomes[i] for i in block), tuple(Fraction(weights[i], total) for i in block))
 
 
 @dataclass(frozen=True)
@@ -262,18 +268,23 @@ class IndependenceResult:
     max_deviation: Fraction
 
 
+def _non_positive_masses(space: OutcomeSpace) -> list[str]:
+    """validate's line for each outcome whose weight is not positive, in order."""
+    return [f"outcome {i} has non-positive mass {space.mass[i]}" for i, w in enumerate(space.weights) if w <= 0]
+
+
 def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
-    """Check every type invariant; collect violations instead of raising."""
+    """Check every type invariant; collect violations instead of raising. Signs
+    and the mass sum are read on the integer weights, and a Fraction is built
+    only to print a sum other than 1."""
     v: list[str] = []
     n = space.size
     if len(space.mass) != n:
         v.append(f"mass vector length {len(space.mass)} != {n} outcomes")
-    for i, m in enumerate(space.mass):
-        if m <= 0:
-            v.append(f"outcome {i} has non-positive mass {m}")
-    total = sum(space.mass, Fraction(0))
-    if total != 1:
-        v.append(f"mass sum {total} (must be exactly 1)")
+    v += _non_positive_masses(space)
+    total = sum(space.weights)
+    if total != space.scale:
+        v.append(f"mass sum {Fraction(total, space.scale)} (must be exactly 1)")
 
     for name, part in (("f0", filtration.f0), ("f1", filtration.f1), ("f2", filtration.f2)):
         seen: dict[int, int] = {}  # outcome -> the last block holding it
@@ -377,11 +388,12 @@ def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
     """Whether positions 0..len-1 split into n groups of equal mass sum.
 
     Decides existence only, not _equal_split's canonical assignment: _place
-    on integer weights (mass * lcm of the denominators), largest first (the
+    on integer weights (mass * lcm of the denominators, formed as in
+    OutcomeSpace.weights with no Fraction product), largest first (the
     ordering of complete multi-way number partitioning, Korf 2009).
     """
     scale = lcm(*(m.denominator for m in masses))
-    weights = sorted((int(m * scale) for m in masses), reverse=True)
+    weights = sorted((m.numerator * (scale // m.denominator) for m in masses), reverse=True)
     total = sum(weights)
     if total % n or max(weights, default=0) > total // n:
         return False
@@ -394,8 +406,8 @@ def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
 
     This is the finite surrogate for conditional atomlessness and the n of
     the default grid. Only existence matters here, so each (block, n) is
-    decided by _split_exists; build_uniform_grid computes the canonical
-    assignment of _equal_split, for its one n.
+    decided by _split_exists on the block's integer weights; build_uniform_grid
+    computes the canonical assignment of _equal_split, for its one n.
     """
     blocks = filtration.f1.blocks
     if not blocks:
@@ -415,7 +427,8 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     law of a block, and the first block that cannot split n ways is named.
     The ranks come from the canonical-order backtracking of _equal_split,
     run once per distinct law, so outputs are reproducible. Blocks that do
-    not hold each outcome exactly once are refused, as ConditionalUtility does.
+    not hold each outcome exactly once are refused, as ConditionalUtility does,
+    and so is a space with a mass <= 0, with validate's line for the first.
     """
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
@@ -423,6 +436,8 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
         return UniformGrid(resolution=1, ranks=(1,) * space.size)
     if sorted(i for b in filtration.f1.blocks for i in b) != list(range(space.size)):
         raise ValueError(f"the F1 blocks must hold each of the {space.size} outcomes exactly once")
+    if non_positive := _non_positive_masses(space):
+        raise ValueError(non_positive[0])
     requested = n is not None
     if not requested:
         n = conditional_resolution(space, filtration)

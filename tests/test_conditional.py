@@ -1,5 +1,6 @@
 """Conditional evaluation, recomposition audits, and cone decompositions."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,17 @@ def test_conditional_utility_refuses_f1_blocks_that_do_not_partition_the_outcome
     message = "^the F1 blocks must be nonempty and hold each of the 4 outcomes exactly once$"
     with pytest.raises(ValueError, match=message):
         ConditionalUtility(EXPECT, SPACE4, filt)
+
+
+@pytest.mark.parametrize("masses, message", [
+    ((Fraction(1, 2), Fraction(1, 2), 0, 0), "outcome 2 has non-positive mass 0"),
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(-1, 4)), "outcome 3 has non-positive mass -1/4"),
+], ids=["zero-block", "negative"])
+def test_conditional_utility_refuses_a_non_positive_mass(masses, message):
+    # a block of mass 0 raised ZeroDivisionError: Fraction(0, 0) at the first conditional_eval
+    space = OutcomeSpace.from_masses(masses)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConditionalUtility(EXPECT, space, Filtration.two_period(space, [[0, 1], [2, 3]]))
 
 
 # ---------------------------------------------------------- conditional_eval

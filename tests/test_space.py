@@ -1,5 +1,6 @@
 """Exact-arithmetic checks for spaces, partitions, grids and conditional masses."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from riskcal import (
     validate,
 )
 import riskcal.space
-from riskcal.space import _equal_split, _split_exists
+from riskcal.space import _equal_split, _place, _split_exists
 
 
 def uniform_filtered(n: int, blocks) -> tuple[OutcomeSpace, Filtration]:
@@ -614,3 +615,97 @@ def test_grid_refuses_f1_blocks_that_do_not_partition_the_outcomes():
         for n in (2, None):
             with pytest.raises(ValueError, match="^the F1 blocks must hold each of the 4 outcomes exactly once$"):
                 build_uniform_grid(space, filtration, n)
+
+
+@pytest.mark.parametrize("masses, message", [
+    ((Fraction(1, 2), Fraction(1, 2), 0, 0), "outcome 2 has non-positive mass 0"),
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(-1, 4)), "outcome 3 has non-positive mass -1/4"),
+], ids=["zero-block", "negative"])
+def test_grid_refuses_a_non_positive_mass(masses, message):
+    # a block of mass 0 raised ZeroDivisionError: Fraction(0, 0), at n = None too, where
+    # conditional_resolution of the zero-block space is 2
+    space = OutcomeSpace.from_masses(masses)
+    filtration = Filtration.two_period(space, [[0, 1], [2, 3]])
+    for n in (2, None):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_uniform_grid(space, filtration, n)
+
+
+# ------------------------------------- integer weights against Fraction sums
+
+def _fraction_mass_lines(space):
+    """validate's mass lines as sums and comparisons of Fractions."""
+    v = []
+    if len(space.mass) != space.size:
+        v.append(f"mass vector length {len(space.mass)} != {space.size} outcomes")
+    for i, m in enumerate(space.mass):
+        if m <= 0:
+            v.append(f"outcome {i} has non-positive mass {m}")
+    total = sum(space.mass, Fraction(0))
+    if total != 1:
+        v.append(f"mass sum {total} (must be exactly 1)")
+    return tuple(v)
+
+
+def _fraction_mass_of(space, indices):
+    return sum((space.mass[i] for i in indices), Fraction(0))
+
+
+def _fraction_split_exists(masses, n):
+    """_split_exists with each weight taken as int(mass * scale)."""
+    scale = math.lcm(*(m.denominator for m in masses))
+    weights = sorted((int(m * scale) for m in masses), reverse=True)
+    total = sum(weights)
+    if total % n or max(weights, default=0) > total // n:
+        return False
+    return _place(weights, n, total // n) is not None
+
+
+def _fraction_resolution(space, filt):
+    blocks = filt.f1.blocks
+    for n in range(min(len(b) for b in blocks), 1, -1):
+        if all(_fraction_split_exists([space.mass[i] for i in b], n) for b in blocks):
+            return n
+    return 0
+
+
+_T = 10**400  # block [0, 3] has mass 2 / _T, which is 0.0 in float64
+_UNDERFLOW = OutcomeSpace.from_masses([(1, _T), (_T - 2, 2 * _T), (_T - 2, 2 * _T), (1, _T)])
+_ZERO_BLOCK = OutcomeSpace.from_masses([Fraction(1, 2), Fraction(1, 2), 0, 0])
+_any_mass = st.one_of(st.integers(-2, 3), st.builds(Fraction, st.integers(-3, 9), st.integers(1, 12)))
+
+
+@st.composite
+def _spaces_of_any_masses(draw):
+    """1-8 outcomes over 1-4 shuffled F1 blocks, with up to 2 masses more than
+    outcomes; each mass an int or a Fraction, zero and negative ones included,
+    summing to anything, or rescaled to sum to 1."""
+    size = draw(st.integers(1, 8))
+    masses = draw(st.lists(_any_mass, min_size=size, max_size=size + 2))
+    total = sum(masses, Fraction(0))
+    if total and draw(st.booleans()):
+        masses = [m / total for m in masses]
+    order = draw(st.permutations(range(size)))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=3))) if size > 1 else []
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(size)), tuple(masses))
+    return space, Filtration.two_period(space, [order[a:b] for a, b in zip([0, *cuts], [*cuts, size])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaces_of_any_masses())
+@example((_UNDERFLOW, Filtration.two_period(_UNDERFLOW, [[0, 3], [1, 2]])))
+@example((_ZERO_BLOCK, Filtration.two_period(_ZERO_BLOCK, [[0, 1], [2, 3]])))
+def test_mass_decisions_on_weights_match_fraction_sums(case):
+    space, filt = case
+    assert validate(space, filt).violations == _fraction_mass_lines(space)
+    blocks = filt.f1.blocks
+    for indices in [*blocks, range(space.size), [i for b in blocks[1:] for i in b]]:
+        assert space.mass_of(indices) == _fraction_mass_of(space, indices)
+    for block in blocks:
+        block_mass = _fraction_mass_of(space, block)
+        if block_mass == 0:
+            with pytest.raises(ZeroDivisionError):
+                space.given(block)
+        else:
+            assert space.given(block).mass == tuple(space.mass[i] / block_mass for i in block)
+    assert conditional_resolution(space, filt) == _fraction_resolution(space, filt)

@@ -165,6 +165,12 @@ PRODUCT_GRIDS = {  # 64 outcomes that utility_product_8x8.json refuses: one mass
     "product_four_blocks.json": {"masses": [[1, 64]] * 64,
                                  "f1_blocks": [list(range(r * 16, r * 16 + 16)) for r in range(4)]},
 }
+MASS_VIOLATIONS = {  # spaces validate refuses for their masses alone: a zero, a negative, sums 3/4 and 5/4
+    "mass_zero.json": {"masses": [[1, 2], [1, 2], 0, 0], "f1_blocks": [[0, 1], [2, 3]]},
+    "mass_negative.json": {"masses": [[1, 2], [1, 2], [1, 4], [-1, 4]], "f1_blocks": [[0, 1], [2, 3]]},
+    "mass_sum_three_quarters.json": {"masses": [[1, 4], [1, 4], [1, 8], [1, 8]], "f1_blocks": [[0, 1], [2, 3]]},
+    "mass_sum_five_quarters.json": {"masses": [[1, 4], [1, 4], [1, 4], [1, 2]], "f1_blocks": [[0, 1], [2, 3]]},
+}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -439,9 +445,16 @@ def product_grids() -> list[list[str]]:
             for space in PRODUCT_GRIDS for command in ("validate", "eval") for fmt in FORMATS]
 
 
+def mass_violations() -> list[list[str]]:
+    """`validate`, in text and csv, of each space whose masses alone are
+    invalid, then `tc-check` of the one with a zero mass, refused before any probe."""
+    cmds = [["validate", "--space", space, *fmt] for space in MASS_VIOLATIONS for fmt in FORMATS]
+    return cmds + [["tc-check", "--space", "mass_zero.json", "--utility", "utility_es_half.json", "--probes", "5"]]
+
+
 GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
           exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids,
-          product_grids)
+          product_grids, mass_violations)
 
 
 def commands() -> list[list[str]]:
@@ -472,7 +485,7 @@ def reports():
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
                           **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS,
-                          **PRODUCT_GRIDS}.items():
+                          **PRODUCT_GRIDS, **MASS_VIOLATIONS}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
