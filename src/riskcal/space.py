@@ -333,14 +333,20 @@ def _place(items: Sequence, n: int, room) -> list[int] | None:
     and a branch stops when it leaves a room above 0 but below the smallest
     item, which no item can fill. The cut prunes only branches that hold no
     placement, so the first placement found does not depend on it. Complete
-    backtracking on an explicit stack, so None means no placement exists and
+    backtracking on one explicit stack, so None means no placement exists and
     a long block needs no recursion. The items must sum to n * room.
+
+    Each saving is exact for ints and Fractions, zero and negative items
+    included: a backtrack restores the room its group had, kept on the stack
+    with the node's tried rooms, instead of adding the item back; a tried room
+    maps to the lower group it was first tried in, so one setdefault records
+    and tests it (one hash); and r >= item, so "above 0" is left's sign.
     """
     smallest = min(items, default=0)
     rooms = [room] * n
     placed: list[int] = []  # placed[k] is the group of items[k]
-    tried_at: list[set] = []  # tried_at[k] holds the rooms already tried for items[k]
-    start, tried = 0, set()  # for items[len(placed)]: the next group to try, the rooms tried
+    saved: list[tuple] = []  # saved[k]: the rooms tried for items[k], and its group's room before it
+    start, tried = 0, {}  # for items[len(placed)]: the next group to try, each tried room's group
     while True:
         pos = len(placed)
         if pos == len(items):  # every group is full, since the items sum to n * room
@@ -348,22 +354,21 @@ def _place(items: Sequence, n: int, room) -> list[int] | None:
         item = items[pos]
         for g in range(start, n):
             r = rooms[g]
-            if r < item or r in tried:
+            if r < item or tried.setdefault(r, g) != g:  # r too small, or tried in a lower group
                 continue
-            tried.add(r)
             left = r - item
-            if 0 < left < smallest:  # dead room
+            if left and left < smallest:  # dead room
                 continue
             rooms[g] = left
             placed.append(g)
-            tried_at.append(tried)
-            start, tried = 0, set()
+            saved.append((tried, r))
+            start, tried = 0, {}
             break
         else:
             if not placed:
                 return None
-            g, tried = placed.pop(), tried_at.pop()  # take items[pos - 1] back out of group g
-            rooms[g] += items[pos - 1]
+            g = placed.pop()  # take items[pos - 1] back out of group g
+            tried, rooms[g] = saved.pop()
             start = g + 1
 
 

@@ -497,6 +497,68 @@ def test_equal_split_of_a_block_longer_than_the_recursion_limit():
     assert _equal_split(flat, 2) == [list(range(515)), list(range(515, 1030))]
 
 
+def _place_by_readding(items, n, room):
+    """_place with a stack of tried-room sets alone: a backtrack adds the item
+    back to its group's room, a room is looked up in the tried set before it
+    is added, and a dead room is 0 < left < smallest. The reference for
+    _place, which must return the same placement."""
+    smallest = min(items, default=0)
+    rooms = [room] * n
+    placed, tried_at = [], []
+    start, tried = 0, set()
+    while True:
+        pos = len(placed)
+        if pos == len(items):
+            return placed
+        item = items[pos]
+        for g in range(start, n):
+            r = rooms[g]
+            if r < item or r in tried:
+                continue
+            tried.add(r)
+            left = r - item
+            if 0 < left < smallest:
+                continue
+            rooms[g] = left
+            placed.append(g)
+            tried_at.append(tried)
+            start, tried = 0, set()
+            break
+        else:
+            if not placed:
+                return None
+            g, tried = placed.pop(), tried_at.pop()
+            rooms[g] += items[pos - 1]
+            start = g + 1
+
+
+@st.composite
+def _place_cases(draw):
+    """Up to 9 items, all ints or all Fractions, zeros and negatives
+    included, and n from 1 to one more than their count."""
+    item = draw(st.sampled_from([st.integers(-3, 9), st.builds(Fraction, st.integers(-3, 9), st.integers(1, 6))]))
+    items = draw(st.lists(item, max_size=9))
+    return items, draw(st.integers(1, len(items) + 1))
+
+
+def _ramp(k):
+    return [Fraction(i, k * (k + 1) // 2) for i in range(1, k + 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_place_cases())
+@example((_ramp(10), 5))  # each ramp at its conditional resolution, where the canonical split backtracks
+@example((_ramp(11), 6))
+@example((_ramp(12), 6))
+@example(([Fraction(m, 12) for m in (2, 3, 3, 2, 2)], 2))  # the battery's dead_room block
+def test_place_matches_the_search_that_adds_items_back(case):
+    items, n = case
+    total = sum(items)
+    # integer items get an integer room when n divides their total, as _split_exists passes it
+    room = total // n if isinstance(total, int) and total % n == 0 else Fraction(total) / n
+    assert _place(items, n, room) == _place_by_readding(items, n, room)
+
+
 # ------------------------------------------------ prescribed-mass event sets
 
 def test_set_with_conditional_mass_on_grid():

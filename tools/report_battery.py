@@ -72,11 +72,20 @@ MALFORMED = {
     "space_block_index_boolean.json": {"masses": [1], "f1_blocks": [[False]]},
 }
 RAGGED = {"utility_scenario_ragged.json": {"utility": {"kind": "scenario", "measures": [[[1, 4]] * 4, [[1, 3]] * 3]}}}
+
+
+def _ramp_twice(k: int) -> dict:
+    """Two F1 blocks of k outcomes, each with masses proportional to 1..k."""
+    return {"masses": [[i, k * (k + 1)] for i in range(1, k + 1)] * 2,
+            "f1_blocks": [list(range(k)), list(range(k, 2 * k))]}
+
+
 SPLITS = {  # blocks whose canonical equal split backtracks
-    **{f"ramp_{k}_twice.json": {"masses": [[i, k * (k + 1)] for i in range(1, k + 1)] * 2,
-                                "f1_blocks": [list(range(k)), list(range(k, 2 * k))]} for k in range(8, 12)},
+    **{f"ramp_{k}_twice.json": _ramp_twice(k) for k in range(8, 12)},
     "dead_room.json": {"masses": [[m, 12] for m in (2, 3, 3, 2, 2)], "f1_blocks": [[0, 1, 2, 3, 4]]},
 }
+# the ramps the benchmark's grid_lift workload lifts and validates, past SPLITS' largest
+RAMP_GRIDS = {f"ramp_{k}_twice.json": _ramp_twice(k) for k in (12, 13)}
 _T = 10**400  # block [0, 3] has mass 2 / _T, which is 0.0 in float64
 UNDERFLOW = {"underflow.json": {"masses": [[1, _T], [_T - 2, 2 * _T], [_T - 2, 2 * _T], [1, _T]],
                                 "f1_blocks": [[0, 3], [1, 2]]}}
@@ -87,8 +96,7 @@ CONDITIONED = {  # a piecewise distortion, and scenario sets that charge no outc
         "utility": {"kind": "scenario", "measures": [[[1, 2], [1, 2], 0, 0], [[1, 4]] * 4]}},
 }
 REFUSED_BEFORE_GRID = {  # a default grid whose canonical split searches long, and a base lift refuses
-    "ramp_14_twice.json": {"masses": [[i, 14 * 15] for i in range(1, 15)] * 2,
-                           "f1_blocks": [list(range(14)), list(range(14, 28))]},
+    "ramp_14_twice.json": _ramp_twice(14),
     "utility_scenario_uniform_28.json": {"utility": {"kind": "scenario", "measures": [[[1, 28]] * 28]}},
 }
 MIXED = {  # masses over mixed denominators, so the integer weights' scale is 420
@@ -452,9 +460,21 @@ def mass_violations() -> list[list[str]]:
     return cmds + [["tc-check", "--space", "mass_zero.json", "--utility", "utility_es_half.json", "--probes", "5"]]
 
 
+def ramp_grids() -> list[list[str]]:
+    """`lift` at the default grid and `validate`, in text and csv, on the
+    two-block ramps of 12 and 13 outcomes, whose canonical splits backtrack
+    longest among the battery's grids."""
+    cmds = []
+    for space in RAMP_GRIDS:
+        f, g = _payoffs(space)
+        lift = ["lift", "--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g]
+        cmds += [[*lift, *fmt] for fmt in FORMATS] + [["validate", "--space", space, *fmt] for fmt in FORMATS]
+    return cmds
+
+
 GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
           exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids,
-          product_grids, mass_violations)
+          product_grids, mass_violations, ramp_grids)
 
 
 def commands() -> list[list[str]]:
@@ -485,7 +505,7 @@ def reports():
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
                           **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS,
-                          **PRODUCT_GRIDS, **MASS_VIOLATIONS}.items():
+                          **PRODUCT_GRIDS, **MASS_VIOLATIONS, **RAMP_GRIDS}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
