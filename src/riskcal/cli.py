@@ -53,7 +53,7 @@ from .io import (
     load_utility_file,
     packaged_data_path,
 )
-from .lift import _require_distortion_base, additivity_probe, lift_pair
+from .lift import additivity_probe, lift_pair
 from .space import (
     OutcomeSpace,
     Partition,
@@ -217,7 +217,6 @@ def _run_lift(args: argparse.Namespace) -> Report:
     g = _parse_vector(args.g_values, space.size, "g")
     if not f.is_measurable(filtration.f1) or not g.is_measurable(filtration.f1):
         raise SchemaError("f and g must be constant on every F1 block", field="f")
-    _require_distortion_base(cu)
     grid = build_uniform_grid(space, filtration, args.grid_n)  # after the cheap checks: it may search
     pair, diag = lift_pair(cu, grid, f, g)
 

@@ -7,18 +7,19 @@ Given F1-measurable payoffs f and g, build a pair of second-period payoffs
 
 and reproduces f and g as conditional utilities, in three steps per block:
 geometry writes the point (f, g) as a convex combination of the two
-boundary points cut out by the 45-degree line through it; the psi inverse
-picks the grid level k/n whose indicator utility psi(k/n) is nearest the
-mixing weight; and the conditional-mass lemma, set_with_conditional_mass,
-gives the set B of that conditional mass. When the weight is not on the
-grid, the achieved weight is reported and every exactness contract is
-stated against it, with the target deviation carried as snap error.
+boundary points cut out by the 45-degree line through it; the inverse of
+the block's indicator table k -> u_A(1_{B_k}), B_k = {U <= k/n}, picks the
+grid level whose value is nearest the mixing weight; and the conditional-mass
+lemma, set_with_conditional_mass, gives the set B of that conditional mass.
+The table is monotone in k, which is all the inverse needs, so every coherent
+base lifts the same way. When the weight is not in the table, the achieved
+weight is reported and every exactness contract is stated against it, with
+the target deviation carried as snap error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conditional import ConditionalUtility, _block_values, recompose
 from .space import EventSet, RandomVariable, UniformGrid, set_with_conditional_mass
@@ -115,39 +116,36 @@ def geometry_xyl(p: GeometryPoint, m: float) -> tuple[GeometryPoint, GeometryPoi
     return big_x, big_y, min(max(lam, 0.0), 1.0)
 
 
-def _require_distortion_base(cu: ConditionalUtility) -> None:
-    """Refuse a base whose indicator utilities have no grid inverse, before any grid is searched."""
-    if cu.base.kind != "distortion":
-        raise ValueError("non-distortion base: lift needs the grid inverse of find_b")
-
-
 def find_b(
     cu: ConditionalUtility, grid: UniformGrid, lambda_target: RandomVariable
 ) -> tuple[EventSet, RandomVariable]:
     """Pick the grid set whose conditional indicator utility best matches
     the target weight on every block.
 
-    With a distortion base, the indicator of a set of conditional mass k/n
-    has conditional utility psi(k/n): the search inverts that monotone table
-    on each block, ties going to the smaller k, and set_with_conditional_mass
-    cuts B at the on-grid level k/n, which it takes back to k exactly.
+    Each block A inverts its table k -> u_A(1_{B_k}), the indicator of grid
+    rank <= k evaluated as in cu.conditioned; monotonicity in k is all the
+    inverse needs. The nearest value wins, ties going to the smaller k, and
+    set_with_conditional_mass cuts B at the on-grid level k/n exactly. A
+    distortion base's table is float(psi(k/n)) bit for bit.
     """
-    _require_distortion_base(cu)
     f1 = cu.filtration.f1
     if not lambda_target.is_measurable(f1):
         raise ValueError("lambda_target must be F1-measurable")
     n = grid.resolution
-    psi_table = [float(cu.base.distortion.psi(Fraction(k, n))) for k in range(n + 1)]
-    ks = []
-    for block in f1.blocks:
+    ks, achieved = [], []
+    for block, (u, law, _) in cu.conditioned.items():
         target = lambda_target.values[block[0]]
         if not -W_TOL <= target <= 1 + W_TOL:  # NaN included
             raise ValueError(f"lambda_target value {target} outside [0, 1]")
-        ks.append(min(range(n + 1), key=lambda k: abs(psi_table[k] - target)))
+        ranks = [grid.ranks[i] for i in block]
+        table = [u.evaluate(RandomVariable(tuple(float(r <= k) for r in ranks)), law) for k in range(n + 1)]
+        k = min(range(n + 1), key=lambda k: abs(table[k] - target))
+        ks.append(k)
+        achieved.append(table[k])
     size = cu.space.size
     h = RandomVariable.from_block_values([k / n for k in ks], f1, size)
     b = set_with_conditional_mass(cu.space, cu.filtration, grid, h).event
-    return b, RandomVariable.from_block_values([psi_table[k] for k in ks], f1, size)
+    return b, RandomVariable.from_block_values(achieved, f1, size)
 
 
 def lift_pair(
@@ -169,7 +167,6 @@ def lift_pair(
     f1 = cu.filtration.f1
     if not f.is_measurable(f1) or not g.is_measurable(f1):
         raise ValueError("f and g must be F1-measurable")
-    _require_distortion_base(cu)
     size = cu.space.size
     m = max(f.sup_norm(), g.sup_norm())
     n_blocks = len(f1.blocks)

@@ -155,7 +155,8 @@ class DistortionFunction:
 class ScenarioSet:
     """Finite dual set: probability vectors over the outcomes, in a fixed order.
 
-    Each measure is checked however the set is built, through `of` or not."""
+    Each measure is checked however the set is built, through `of` or not,
+    its length against measure 0's first."""
 
     measures: tuple[tuple[Scalar, ...], ...]
 
@@ -165,6 +166,9 @@ class ScenarioSet:
         return tuple(tuple(float(v) for v in q) for q in self.measures)
 
     def __post_init__(self):
+        for idx, row in enumerate(self.measures):
+            if len(row) != len(self.measures[0]):
+                raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(self.measures[0])}")
         rows = []
         for idx, row in enumerate(self.measures):
             if not all(isinstance(v, (Fraction, int)) or math.isfinite(v) for v in row):
@@ -183,11 +187,7 @@ class ScenarioSet:
 
     @classmethod
     def of(cls, measures) -> "ScenarioSet":
-        rows = [tuple(q) for q in measures]
-        for idx, row in enumerate(rows):
-            if len(row) != len(rows[0]):
-                raise ValueError(f"measure {idx} has {len(row)} entries, measure 0 has {len(rows[0])}")
-        return cls(tuple(rows))
+        return cls(tuple(tuple(q) for q in measures))
 
     @property
     def size(self) -> int:

@@ -843,9 +843,12 @@ def test_cone_verdicts_match_cone_decompose(case):
 # ------------------------------- scenario measures at the edge of their fit
 
 def test_conditional_utility_checks_every_scenario_measure_length():
-    # only measure 0 was checked, and recompose then raised IndexError on measure 1
-    base = CoherentUtility.from_scenarios(ScenarioSet(((0.25,) * 4, (0.5, 0.5))))
-    with pytest.raises(ValueError, match="^measure 1 has 2 entries for 4 outcomes$"):
+    # only measure 0 was checked, and recompose then raised IndexError on measure 1;
+    # a ragged set is now refused as it is built, and a set of equal rows against the space
+    with pytest.raises(ValueError, match="^measure 1 has 2 entries, measure 0 has 4$"):
+        ScenarioSet(((0.25,) * 4, (0.5, 0.5)))
+    base = CoherentUtility.from_scenarios(ScenarioSet(((0.5, 0.5), (0.25, 0.75))))
+    with pytest.raises(ValueError, match="^measure 0 has 2 entries for 4 outcomes$"):
         ConditionalUtility(base, SPACE4, FILT4)
 
 

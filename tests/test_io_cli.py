@@ -1081,16 +1081,18 @@ def test_cli_lift_refuses_bad_payoffs_without_building_the_grid(f, g, message, c
     assert message in err
 
 
-def test_cli_lift_refuses_a_non_distortion_base_without_building_the_grid(capsys):
-    # the default grid's canonical split is exponential in the block size; the refusal needs none of it
-    with mock.patch.object(cli, "build_uniform_grid", side_effect=AssertionError("grid built")):
-        code, out, err = run_cli(
-            ["lift", "--space", data("space_8.json"), "--utility", data("utility_scenario.json"),
-             "--f", "1,1,1,1,0,0,0,0", "--g", "0,0,0,0,0,0,0,0"],
-            capsys,
-        )
-    _assert_input_error(code, out, err)
-    assert "non-distortion base: lift needs the grid inverse of find_b" in err
+def test_cli_lift_of_a_scenario_base_reproduces_f_and_g_within_the_snap_error(capsys):
+    code, out, err = run_cli(
+        ["lift", "--space", data("space_8.json"), "--utility", data("utility_scenario.json"),
+         "--f", "1,1,1,1,0,0,0,0", "--g", "0,0,0,0,0.5,0.5,0.5,0.5"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    doc = parse_report(out)
+    diag = doc["diagnostics"]
+    for row, err_f, err_g, err_sum in zip(doc["geometry"], diag["err_f"], diag["err_g"], diag["err_sum"]):
+        bound = (row["y_x"] - row["x_x"]) * diag["snap_error"] + 1e-12  # d times the snap error; twice on xi + eta
+        assert err_f <= bound and err_g <= bound and err_sum <= 2 * bound
 
 
 def test_cli_lift_places_each_block_on_the_boundary_once(capsys):

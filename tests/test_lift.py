@@ -25,11 +25,13 @@ from riskcal import (
     build_uniform_grid,
     conditional_commonotone_additivity_check,
     conditional_eval,
+    default_probes,
     find_b,
     geometry_xyl,
     is_commonotone_pair,
     lift_pair,
     set_with_conditional_mass,
+    tc_gap,
 )
 import riskcal.lift
 
@@ -137,11 +139,16 @@ def test_find_b_tie_prefers_smaller_set():
     assert b.indices() == ()
 
 
-def test_find_b_requires_distortion_base():
-    scen = CoherentUtility.from_scenarios(ScenarioSet.of([[0.125] * 8]))
-    cu = ConditionalUtility(scen, SPACE8, FILT8)
-    with pytest.raises(ValueError, match="non-distortion base"):
-        find_b(cu, GRID8, RandomVariable.constant(0.5, 8))
+CU8_P = ConditionalUtility(CoherentUtility.from_scenarios(ScenarioSet.of([[0.125] * 8])), SPACE8, FILT8)
+
+
+def test_find_b_of_the_scenario_set_p_matches_the_expectation_base():
+    # {P} values every indicator as the expectation does, so its table inverts to the same sets
+    table = [k / 4 for k in range(5)]
+    mids = [(a + b) / 2 for a, b in zip(table, table[1:])]
+    for target in [0.0, 1.0, *table, *mids, 0.3]:
+        lam = RandomVariable.from_block_values([target, 1.0 - target], FILT8.f1, 8)
+        assert find_b(CU8_P, GRID8, lam) == find_b(CU8_EXP, GRID8, lam)
 
 
 def test_find_b_requires_measurable_target():
@@ -206,13 +213,16 @@ def test_lift_requires_measurable_inputs():
                   RandomVariable.constant(0.0, 8))
 
 
-def test_lift_requires_distortion_base():
-    scen = CoherentUtility.from_scenarios(ScenarioSet.of([[0.125] * 8]))
-    cu = ConditionalUtility(scen, SPACE8, FILT8)
-    zero = RandomVariable.constant(0.0, 8)
-    one = RandomVariable.constant(1.0, 8)
-    with pytest.raises(ValueError, match="non-distortion base"):
-        lift_pair(cu, GRID8, one, zero)
+def test_lift_of_a_scenario_base_reproduces_f_and_g():
+    # on each block xi = X + d 1_B, so u_A(xi) = X + d u_A(1_B) for any coherent base
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        f, g = (RandomVariable.from_block_values(rng.uniform(-1, 1, 2), FILT8.f1, 8) for _ in "fg")
+        pair, diag = lift_pair(CU8_P, GRID8, f, g)
+        for (big_x, big_y), err_f, err_g, err_sum in zip(pair.boundary, diag.err_f, diag.err_g, diag.err_sum):
+            bound = (big_y.x - big_x.x) * diag.snap_error + 1e-12  # d times the snap error; twice on xi + eta
+            assert err_f <= bound and err_g <= bound and err_sum <= 2 * bound
+        assert is_commonotone_pair(pair.xi, pair.eta, SPACE8)[0]
 
 
 def test_lift_random_suite_invariants():
@@ -383,10 +393,10 @@ REFERENCE_BASES = [
 
 
 @st.composite
-def split_lifts(draw):
-    """A ConditionalUtility on 1-3 shuffled F1 blocks that each split into n
-    groups of equal mass (n <= 12, a group being one or two outcomes), and
-    the grid that ranks each outcome by its group."""
+def split_lifts(draw, bases=st.sampled_from(REFERENCE_BASES)):
+    """A ConditionalUtility of a base from `bases` on 1-3 shuffled F1 blocks
+    that each split into n groups of equal mass (n <= 12, a group being one
+    or two outcomes), and the grid that ranks each outcome by its group."""
     n = draw(st.integers(1, 12))
     block_weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     total = n * sum(block_weights)
@@ -408,7 +418,7 @@ def split_lifts(draw):
         start += size
     space = OutcomeSpace.from_masses([masses[where[i]] for i in range(len(masses))])
     filt = Filtration.two_period(space, blocks)
-    cu = ConditionalUtility(draw(st.sampled_from(REFERENCE_BASES)), space, filt)
+    cu = ConditionalUtility(draw(bases), space, filt)
     return cu, UniformGrid(resolution=n, ranks=tuple(ranks[where[i]] for i in range(len(masses))))
 
 
@@ -429,6 +439,44 @@ def test_find_b_matches_the_rank_scan(data):
     targets = data.draw(st.lists(lambda_targets(psi_table), min_size=len(blocks), max_size=len(blocks)))
     lam = RandomVariable.from_block_values(targets, cu.filtration.f1, cu.space.size)
     assert find_b(cu, grid, lam) == reference_find_b(cu, grid, lam)
+
+
+DISTORTIONS = st.one_of(
+    st.just(DistortionFunction.expectation()),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda ab: DistortionFunction.es(
+        Fraction(min(ab), max(ab)))),
+    st.floats(0, 1).map(DistortionFunction.power),
+    st.floats(0.05, 0.95).flatmap(lambda p: st.floats(0, p).map(
+        lambda y: DistortionFunction.piecewise([(0, 0), (p, y), (1, 1)]))),
+).map(CoherentUtility.from_distortion)
+
+
+def psi_table_find_b(cu, grid, lambda_target):
+    """find_b as a shared psi table: float(psi(k/n)) for k = 0..n, on each
+    block the nearest value with ties to the smaller k, then B cut by
+    set_with_conditional_mass at k/n."""
+    n = grid.resolution
+    psi_table = [float(cu.base.distortion.psi(Fraction(k, n))) for k in range(n + 1)]
+    f1, size = cu.filtration.f1, cu.space.size
+    ks = [min(range(n + 1), key=lambda k: abs(psi_table[k] - lambda_target.values[block[0]])) for block in f1.blocks]
+    h = RandomVariable.from_block_values([k / n for k in ks], f1, size)
+    b = set_with_conditional_mass(cu.space, cu.filtration, grid, h).event
+    return b, RandomVariable.from_block_values([psi_table[k] for k in ks], f1, size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_find_b_reads_the_psi_table_of_every_distortion_kind(data):
+    # a distortion base's indicator table is float(psi(k/n)) bit for bit, so B and lambda_achieved are too
+    cu, grid = data.draw(split_lifts(DISTORTIONS))
+    n = grid.resolution
+    psi_table = [float(cu.base.distortion.psi(Fraction(k, n))) for k in range(n + 1)]
+    blocks = cu.filtration.f1.blocks
+    targets = data.draw(st.lists(lambda_targets(psi_table), min_size=len(blocks), max_size=len(blocks)))
+    lam = RandomVariable.from_block_values(targets, cu.filtration.f1, cu.space.size)
+    (b, achieved), (want_b, want_achieved) = find_b(cu, grid, lam), psi_table_find_b(cu, grid, lam)
+    assert b == want_b
+    assert [v.hex() for v in achieved.values] == [v.hex() for v in want_achieved.values]
 
 
 PAYOFF = st.one_of(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), st.floats(-1, 1))
@@ -460,3 +508,26 @@ def test_find_b_levels_round_trip_through_the_conditional_mass_set():
         result = set_with_conditional_mass(space, Filtration(f0, f1, f2), grid, h)
         assert not result.snapped
         assert result.achieved == tuple(Fraction(k, n) for k in range(n + 1)) + (Fraction(0),) * (n < 1030)
+
+
+# ------------------------------------------- the converse side: a time-consistent base
+
+def rectangular_scenarios():
+    """An m-stable (rectangular) scenario set on SPACE8 (Delbaen 2006): every
+    q = mu_j nu_j on block j, for each block weight mu and each choice of one
+    conditional nu per block, 2 * 3 * 3 = 18 measures."""
+    nus = [(Fraction(1, 4),) * 4, (Fraction(1, 2), Fraction(1, 2), 0, 0),
+           (Fraction(1, 8), Fraction(1, 8), Fraction(3, 8), Fraction(3, 8))]
+    mus = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4))]
+    return ScenarioSet.of([tuple(m0 * v for v in nu0) + tuple(m1 * v for v in nu1)
+                           for m0, m1 in mus for nu0 in nus for nu1 in nus])
+
+
+def test_a_rectangular_scenario_set_is_time_consistent_yet_not_commonotone_additive():
+    cu = ConditionalUtility(CoherentUtility.from_scenarios(rectangular_scenarios()), SPACE8, FILT8)
+    assert tc_gap(cu, default_probes(SPACE8, 200, 1729)).max_gap <= 1e-12
+    f = RandomVariable.from_block_values([1.0, 0.0], FILT8.f1, 8)
+    g = RandomVariable.from_block_values([0.0, 1.0], FILT8.f1, 8)
+    report = additivity_probe(cu, build_uniform_grid(SPACE8, FILT8), f, g)
+    assert is_commonotone_pair(report.pair.xi, report.pair.eta, SPACE8)[0]
+    assert report.a_value >= 0.2

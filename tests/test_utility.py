@@ -422,6 +422,14 @@ def test_scenario_set_refuses_ragged_measures():
     assert ScenarioSet.of([[1, 0], [0.5, 0.5]]).size == 2
 
 
+def test_scenario_set_refuses_ragged_measures_built_without_of():
+    # the length check comes first, so a ragged row that also fails a later check is named as ragged
+    with pytest.raises(ValueError, match="^measure 1 has 2 entries, measure 0 has 1$"):
+        ScenarioSet(((Fraction(1),), (Fraction(1, 2), Fraction(1, 2))))
+    with pytest.raises(ValueError, match="^measure 1 has 3 entries, measure 0 has 2$"):
+        ScenarioSet(((0.5, 0.5), (float("nan"), 0.0, 0.0)))
+
+
 # ------------------------------------------- exact tie table, bit for bit
 
 def es_psi_reference(psi, p):

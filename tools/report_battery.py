@@ -95,7 +95,7 @@ CONDITIONED = {  # a piecewise distortion, and scenario sets that charge no outc
     "utility_scenario_uncharged_and_uniform.json": {
         "utility": {"kind": "scenario", "measures": [[[1, 2], [1, 2], 0, 0], [[1, 4]] * 4]}},
 }
-REFUSED_BEFORE_GRID = {  # a default grid whose canonical split searches long, and a base lift refuses
+LONG_SPLIT = {  # a default grid whose canonical split searches long, and a scenario base lifted on it
     "ramp_14_twice.json": _ramp_twice(14),
     "utility_scenario_uniform_28.json": {"utility": {"kind": "scenario", "measures": [[[1, 28]] * 28]}},
 }
@@ -178,6 +178,12 @@ MASS_VIOLATIONS = {  # spaces validate refuses for their masses alone: a zero, a
     "mass_negative.json": {"masses": [[1, 2], [1, 2], [1, 4], [-1, 4]], "f1_blocks": [[0, 1], [2, 3]]},
     "mass_sum_three_quarters.json": {"masses": [[1, 4], [1, 4], [1, 8], [1, 8]], "f1_blocks": [[0, 1], [2, 3]]},
     "mass_sum_five_quarters.json": {"masses": [[1, 4], [1, 4], [1, 4], [1, 2]], "f1_blocks": [[0, 1], [2, 3]]},
+}
+_NUS = ([[1, 4]] * 4, [[1, 2], [1, 2], [0, 1], [0, 1]], [[1, 8], [1, 8], [3, 8], [3, 8]])
+RECTANGULAR = {  # space_8's m-stable set: block 0 weighs a/b = 1/2 or 1/4, and each block's conditional is in _NUS
+    "utility_scenario_rectangular.json": {"utility": {"kind": "scenario", "measures": [
+        [[a * p, b * q] for p, q in nu0] + [[(b - a) * p, b * q] for p, q in nu1]
+        for a, b in ((1, 2), (1, 4)) for nu0 in _NUS for nu1 in _NUS]}},
 }
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
@@ -317,7 +323,7 @@ def splits() -> list[list[str]]:
 def conditioned() -> list[list[str]]:
     """`eval`, `tc-check` and `cone-check` of a piecewise distortion and of
     scenario sets with an uncharged block, then `lift` of a scenario base on
-    a space whose default grid would search long before the refusal."""
+    a space whose default grid's canonical split searches long."""
     pairs = [(space, "utility_piecewise.json") for space in SPACES[:3]]
     pairs += [("space_4.json", name) for name in CONDITIONED if name.startswith("utility_scenario")]
     cmds = []
@@ -326,7 +332,7 @@ def conditioned() -> list[list[str]]:
         for fmt in FORMATS:
             cmds += [["eval", *both, *fmt], ["tc-check", *both, "--probes", "20", *fmt],
                      ["cone-check", *both, "--probes", "20", *fmt]]
-    space, utility = REFUSED_BEFORE_GRID
+    space, utility = LONG_SPLIT
     f, g = _payoffs(space)
     return cmds + [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g]]
 
@@ -382,7 +388,7 @@ def quotient() -> list[list[str]]:
 
 
 def psi_inverses() -> list[list[str]]:
-    """`lift` at the default grid of the distortion kinds whose psi table
+    """`lift` at the default grid of the distortion kinds whose indicator table
     find_b has not inverted above: piecewise and the non-dyadic es(2/7)."""
     cmds = []
     for utility in ("utility_piecewise.json", *NON_DYADIC_ES):
@@ -472,9 +478,22 @@ def ramp_grids() -> list[list[str]]:
     return cmds
 
 
+def scenario_lifts() -> list[list[str]]:
+    """`lift` at the default grid, in text and csv, of scenario bases: the
+    rectangular set on space_8, one whose block [2, 3] of space_4 falls back
+    to the expectation, and non-dyadic exact measures on a space that has
+    no default grid, refused for its resolution."""
+    cmds = []
+    for space, utility in (("space_8.json", *RECTANGULAR), ("space_4.json", "utility_scenario_uncharged.json"),
+                           ("non_dyadic.json", "utility_scenario_non_dyadic.json")):
+        f, g = _payoffs(space)
+        cmds += [["lift", "--space", space, "--utility", utility, "--f", f, "--g", g, *fmt] for fmt in FORMATS]
+    return cmds
+
+
 GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
           exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids,
-          product_grids, mass_violations, ramp_grids)
+          product_grids, mass_violations, ramp_grids, scenario_lifts)
 
 
 def commands() -> list[list[str]]:
@@ -503,9 +522,9 @@ def reports():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(packaged_data_path(name).read_text(encoding="utf-8"))
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
-                          **REFUSED_BEFORE_GRID, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
+                          **LONG_SPLIT, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
                           **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS,
-                          **PRODUCT_GRIDS, **MASS_VIOLATIONS, **RAMP_GRIDS}.items():
+                          **PRODUCT_GRIDS, **MASS_VIOLATIONS, **RAMP_GRIDS, **RECTANGULAR}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
