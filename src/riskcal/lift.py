@@ -19,7 +19,9 @@ the target deviation carried as snap error.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 from .conditional import ConditionalUtility, _block_values, recompose
 from .space import EventSet, RandomVariable, UniformGrid, set_with_conditional_mass
@@ -122,11 +124,11 @@ def find_b(
     """Pick the grid set whose conditional indicator utility best matches
     the target weight on every block.
 
-    Each block A inverts its table k -> u_A(1_{B_k}), the indicator of grid
-    rank <= k evaluated as in cu.conditioned; monotonicity in k is all the
-    inverse needs. The nearest value wins, ties going to the smaller k, and
-    set_with_conditional_mass cuts B at the on-grid level k/n exactly. A
-    distortion base's table is float(psi(k/n)) bit for bit.
+    Each block A inverts its table k -> u_A(1_{B_k}), the indicator of grid rank <= k evaluated as in
+    cu.conditioned, by bisection, as the table is monotone in k: k* is the first k whose value reaches
+    the target, and as |value - target| falls before k* and rises from it, k* wins unless k* - 1 is as
+    near, and then the leftmost k as near as k* - 1 does. So the nearest value wins, ties to the smaller
+    k, and set_with_conditional_mass cuts B at k/n exactly. A distortion base's table is float(psi(k/n)).
     """
     f1 = cu.filtration.f1
     if not lambda_target.is_measurable(f1):
@@ -138,10 +140,13 @@ def find_b(
         if not -W_TOL <= target <= 1 + W_TOL:  # NaN included
             raise ValueError(f"lambda_target value {target} outside [0, 1]")
         ranks = [grid.ranks[i] for i in block]
-        table = [u.evaluate(RandomVariable(tuple(float(r <= k) for r in ranks)), law) for k in range(n + 1)]
-        k = min(range(n + 1), key=lambda k: abs(table[k] - target))
+        value = cache(lambda k: u.evaluate(RandomVariable(tuple(float(r <= k) for r in ranks)), law))
+        dist = lambda k: abs(value(k) - target)
+        k = bisect_left(range(n + 1), target, key=value)
+        if k > n or (k and dist(k - 1) <= dist(k)):
+            k = bisect_left(range(k), -dist(k - 1), key=lambda j: -dist(j))
         ks.append(k)
-        achieved.append(table[k])
+        achieved.append(value(k))
     size = cu.space.size
     h = RandomVariable.from_block_values([k / n for k in ks], f1, size)
     b = set_with_conditional_mass(cu.space, cu.filtration, grid, h).event

@@ -39,11 +39,12 @@ class ResolutionUnavailableError(ValueError):
 
 
 def _as_fraction(m) -> Fraction:
-    """An exact rational from a (num, den) pair or anything Fraction takes."""
+    """An exact rational from a (num, den) pair, which Fraction itself reads, or anything Fraction takes."""
     if isinstance(m, Fraction):
         return m
     if isinstance(m, (tuple, list)) and len(m) == 2:
-        return Fraction(int(m[0]), int(m[1]))
+        q = Fraction(m[0], m[1])  # refuses a part that is not rational; int() drops numpy's integer types
+        return Fraction(int(q.numerator), int(q.denominator))
     return Fraction(m)
 
 
@@ -433,12 +434,10 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     The ranks come from the canonical-order backtracking of _equal_split,
     run once per distinct law, so outputs are reproducible. Blocks that do
     not hold each outcome exactly once are refused, as ConditionalUtility does,
-    and so is a space with a mass <= 0, with validate's line for the first.
+    and so is a space with a mass <= 0, with validate's line for the first, at every n.
     """
     if n is not None and n < 1:
         raise ValueError(f"resolution n must be positive, got {n}")
-    if n == 1:
-        return UniformGrid(resolution=1, ranks=(1,) * space.size)
     if sorted(i for b in filtration.f1.blocks for i in b) != list(range(space.size)):
         raise ValueError(f"the F1 blocks must hold each of the {space.size} outcomes exactly once")
     if non_positive := _non_positive_masses(space):

@@ -209,8 +209,8 @@ class ScenarioSet:
 class CoherentUtility:
     """Tagged union over the three evaluation routes.
 
-    kind: "distortion" | "scenario" | "product". Only the fields of the
-    active variant are populated.
+    kind: "distortion" | "scenario" | "product", any other refused, as is a product
+    grid size below 1. Only the fields of the active variant are populated.
     """
 
     kind: str
@@ -218,6 +218,12 @@ class CoherentUtility:
     scenarios: ScenarioSet | None = None
     k_alpha: int = 0
     k_x: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("distortion", "scenario", "product"):
+            raise ValueError(f"unknown utility kind {self.kind!r}")
+        if self.kind == "product" and (self.k_alpha < 1 or self.k_x < 1):
+            raise ValueError("product grid sizes must be positive")
 
     @classmethod
     def from_distortion(cls, psi: DistortionFunction) -> "CoherentUtility":
@@ -229,16 +235,13 @@ class CoherentUtility:
 
     @classmethod
     def product_example(cls, k_alpha: int, k_x: int) -> "CoherentUtility":
-        if k_alpha < 1 or k_x < 1:
-            raise ValueError("product grid sizes must be positive")
         return cls("product", k_alpha=k_alpha, k_x=k_x)
 
     def check_space(self, space: OutcomeSpace, filtration: Filtration | None = None) -> None:
-        """Raise ValueError unless this utility evaluates payoffs on `space`: every scenario
-        measure has one entry per outcome, a product's `space` is its grid; a distortion fits any."""
-        for idx, q in enumerate(self.scenarios.measures if self.kind == "scenario" else ()):
-            if len(q) != space.size:
-                raise ValueError(f"measure {idx} has {len(q)} entries for {space.size} outcomes")
+        """Raise ValueError unless this utility evaluates payoffs on `space`: a scenario set's measure 0, so
+        every measure, has one entry per outcome; a product's `space` is its grid; a distortion fits any."""
+        if self.kind == "scenario" and len(q := self.scenarios.measures[0]) != space.size:
+            raise ValueError(f"measure 0 has {len(q)} entries for {space.size} outcomes")
         if self.kind == "product":
             product_grid_rows(self.k_alpha, self.k_x, space, filtration)
 
@@ -295,12 +298,12 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
 
 
 def scenario_min_eval(x: RandomVariable, s: ScenarioSet) -> tuple[float, int]:
-    """Min over the listed measures of E_Q[x]; ties go to the lowest index."""
+    """Min over the listed measures of E_Q[x], ties to the lowest index; measure 0's length is checked once."""
+    if len(s.float_rows[0]) != len(x.values):
+        raise ValueError(f"measure 0 has {len(s.float_rows[0])} entries for {len(x.values)} outcomes")
     best = float("inf")
     best_idx = -1
     for idx, q in enumerate(s.float_rows):
-        if len(q) != len(x.values):
-            raise ValueError(f"measure {idx} has {len(q)} entries for {len(x.values)} outcomes")
         e = sum(qi * v for qi, v in zip(q, x.values))
         if e < best:
             best, best_idx = e, idx

@@ -479,6 +479,85 @@ def test_find_b_reads_the_psi_table_of_every_distortion_kind(data):
     assert [v.hex() for v in achieved.values] == [v.hex() for v in want_achieved.values]
 
 
+def indicator_tables(cu, grid):
+    """Each F1 block's whole table k -> u_A(1_{B_k}), k = 0..n, evaluated on the
+    block's utility and law as cu.conditioned holds them."""
+    return [[u.evaluate(RandomVariable(tuple(float(grid.ranks[i] <= k) for i in block)), law)
+             for k in range(grid.resolution + 1)] for block, (u, law, _) in cu.conditioned.items()]
+
+
+def linear_scan_find_b(cu, grid, lambda_target):
+    """find_b as a linear scan of each block's whole table: the first k whose
+    value is nearest the target, then B cut by set_with_conditional_mass at k/n."""
+    n = grid.resolution
+    f1, size = cu.filtration.f1, cu.space.size
+    ks, achieved = [], []
+    for block, table in zip(cu.conditioned, indicator_tables(cu, grid)):
+        target = lambda_target.values[block[0]]
+        k = min(range(n + 1), key=lambda k: abs(table[k] - target))
+        ks.append(k)
+        achieved.append(table[k])
+    h = RandomVariable.from_block_values([k / n for k in ks], f1, size)
+    b = set_with_conditional_mass(cu.space, cu.filtration, grid, h).event
+    return b, RandomVariable.from_block_values(achieved, f1, size)
+
+
+@st.composite
+def scenario_lifts(draw):
+    """split_lifts' space and grid under an exact scenario base of 1-3 measures;
+    with two or more blocks, every measure may leave one block uncharged, so
+    that the expectation stands in there as the fallback."""
+    cu, grid = draw(split_lifts())
+    blocks, size = cu.filtration.f1.blocks, cu.space.size
+    uncharged = set(draw(st.sampled_from([(), *blocks]))) if len(blocks) > 1 else set()
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = [0 if i in uncharged else draw(st.integers(0, 4)) for i in range(size)]
+        if not any(weights):
+            weights[min(set(range(size)) - uncharged)] = 1
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    base = CoherentUtility.from_scenarios(ScenarioSet.of(rows))
+    return ConditionalUtility(base, cu.space, cu.filtration), grid
+
+
+ES_TWELFTH = CoherentUtility.from_distortion(DistortionFunction.es((1, 12)))  # a plateau of zeros up to 11/12
+
+
+def assert_find_b_matches_the_linear_scan(cu, grid, lam):
+    (b, achieved), (want_b, want_achieved) = find_b(cu, grid, lam), linear_scan_find_b(cu, grid, lam)
+    assert b == want_b
+    assert [v.hex() for v in achieved.values] == [v.hex() for v in want_achieved.values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_find_b_bisection_equals_the_linear_scan(data):
+    cu, grid = data.draw(split_lifts(DISTORTIONS | st.just(ES_TWELFTH)) | scenario_lifts())
+    tables = indicator_tables(cu, grid)
+    assert all(a <= b for table in tables for a, b in zip(table, table[1:]))  # what the bisection relies on
+    targets = [data.draw(lambda_targets(table) | st.sampled_from([0.0, 1.0])) for table in tables]
+    assert_find_b_matches_the_linear_scan(cu, grid, RandomVariable.from_block_values(
+        targets, cu.filtration.f1, cu.space.size))
+
+
+# on 96 outcomes: one measure on the first half only, one rising 1..96 over 96 * 97 / 2
+HALF_AND_RAMP = ScenarioSet.of([[Fraction(1, 48)] * 48 + [0] * 48, [Fraction(i, 48 * 97) for i in range(1, 97)]])
+
+
+@pytest.mark.parametrize("base", [EXPECT, ES_TWELFTH, CoherentUtility.from_distortion(DistortionFunction.power(0.5)),
+                                  CoherentUtility.from_scenarios(HALF_AND_RAMP)],
+                         ids=["expectation", "es-1/12", "power", "scenario"])
+def test_find_b_bisection_equals_the_linear_scan_on_every_level_of_a_long_table(base):
+    # two blocks of 48 at n = 48: every table value and every midpoint of each block, 0 and 1
+    space = OutcomeSpace.uniform(96)
+    filt = Filtration.two_period(space, [list(range(48)), list(range(48, 96))])
+    cu, grid = ConditionalUtility(base, space, filt), build_uniform_grid(space, filt, 48)
+    first, second = ([*table, *((a + b) / 2 for a, b in zip(table, table[1:])), 0.0, 1.0]
+                     for table in indicator_tables(cu, grid))
+    for targets in zip(first, reversed(second)):
+        assert_find_b_matches_the_linear_scan(cu, grid, RandomVariable.from_block_values(targets, filt.f1, 96))
+
+
 PAYOFF = st.one_of(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), st.floats(-1, 1))
 
 

@@ -4,11 +4,13 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskcal import (
+    DistortionFunction,
     EventSet,
     Filtration,
     OutcomeSpace,
@@ -674,7 +676,7 @@ def test_grid_refuses_f1_blocks_that_do_not_partition_the_outcomes():
     space = OutcomeSpace.uniform(4)
     for blocks in ([[0, 1]], [], [[0, 1], [1, 2]]):
         filtration = Filtration.two_period(space, blocks)
-        for n in (2, None):
+        for n in (1, 2, None):
             with pytest.raises(ValueError, match="^the F1 blocks must hold each of the 4 outcomes exactly once$"):
                 build_uniform_grid(space, filtration, n)
 
@@ -688,9 +690,29 @@ def test_grid_refuses_a_non_positive_mass(masses, message):
     # conditional_resolution of the zero-block space is 2
     space = OutcomeSpace.from_masses(masses)
     filtration = Filtration.two_period(space, [[0, 1], [2, 3]])
-    for n in (2, None):
+    for n in (1, 2, None):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_uniform_grid(space, filtration, n)
+
+
+def test_a_mass_pair_is_read_by_fraction_itself():
+    # a pair was read as Fraction(int(a), int(b)): (1.5, 2) became 1/2, and es((1.9, 2)) became es(1/2)
+    with pytest.raises(TypeError, match="both arguments should be Rational instances"):
+        OutcomeSpace.from_masses([(1.5, 2), (1, 4), (1, 4)])
+    with pytest.raises(TypeError, match="both arguments should be Rational instances"):
+        DistortionFunction.es((1.9, 2))
+    quarter = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    i64 = np.int64
+    for pairs in ([(1, 2), [1, 4], (2, 8)], [(i64(1), i64(2)), (i64(1), i64(4)), (2, i64(8))],
+                  [(Fraction(1), Fraction(2)), (Fraction(1, 2), 2), (Fraction(1, 8), Fraction(1, 2))]):
+        space = OutcomeSpace.from_masses(pairs)
+        assert space.mass == quarter and space.weights == (2, 1, 1) and space.scale == 4
+        # plain ints inside, so the masses hash and the grid splits the block as before
+        assert all(type(m.numerator) is int and type(m.denominator) is int for m in space.mass)
+        filt = Filtration.two_period(space, [[0, 1, 2]])
+        assert build_uniform_grid(space, filt) == UniformGrid(resolution=2, ranks=(1, 2, 2))
+    assert DistortionFunction.es((np.int64(1), np.int64(2))) == DistortionFunction.es((1, 2))
+    assert DistortionFunction.es((Fraction(1, 2), 1)).alpha == Fraction(1, 2)
 
 
 # ------------------------------------- integer weights against Fraction sums

@@ -414,6 +414,18 @@ def test_coherent_utility_dispatch():
     assert p.describe() == "product(2x4)"
 
 
+def test_coherent_utility_refuses_an_unknown_kind_and_an_empty_product_grid():
+    # an unknown kind described itself as product(0x0), and evaluate took it for the product example
+    with pytest.raises(ValueError, match="^unknown utility kind 'bogus'$"):
+        CoherentUtility("bogus")
+    for k_alpha, k_x in ((0, 4), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="^product grid sizes must be positive$"):
+            CoherentUtility("product", k_alpha=k_alpha, k_x=k_x)
+        with pytest.raises(ValueError, match="^product grid sizes must be positive$"):
+            CoherentUtility.product_example(k_alpha, k_x)
+    assert CoherentUtility("product", k_alpha=2, k_x=4) == CoherentUtility.product_example(2, 4)
+
+
 def test_scenario_set_refuses_ragged_measures():
     with pytest.raises(ValueError, match="measure 1 has 3 entries, measure 0 has 2"):
         ScenarioSet.of([[1, 0], [Fraction(1, 3)] * 3])
@@ -616,6 +628,36 @@ def test_psi_and_psi_at_equal_each_kinds_formula(psi, level):
 def test_psi_of_zero_is_zero_for_every_kind(psi, w):
     assert psi.psi(0) == psi.psi(Fraction(0)) == psi.psi(0.0) == 0
     assert psi.psi_at(0, w)[0] == 0
+
+
+@st.composite
+def knot_beside_a_level(draw):
+    """A convex three-knot piecewise psi whose interior knot lies one ulp below
+    or above a grid level k / w, and that w."""
+    w = draw(st.integers(2, 1100))
+    p = math.nextafter(draw(st.integers(1, w - 1)) / w, draw(st.sampled_from([0.0, 1.0])))
+    return DistortionFunction.piecewise([(0, 0), (p, draw(st.floats(0.0, p))), (1, 1)]), w
+
+
+def _beside(k, w, toward, y):
+    p = math.nextafter(k / w, toward)
+    return DistortionFunction.piecewise([(0, 0), (p, y * p), (1, 1)]), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(0.0, 1.0).map(DistortionFunction.power) | convex_knots(), st.integers(1, 1100))
+       | knot_beside_a_level())
+@example(_beside(1, 3, 0.0, 0.5))
+@example(_beside(1, 3, 1.0, 0.5))
+@example(_beside(7, 10, 0.0, 0.9))
+@example(_beside(7, 10, 1.0, 0.9))
+@example(_beside(515, 1030, 0.0, 0.0))
+@example(_beside(515, 1030, 1.0, 1.0))
+def test_power_and_piecewise_psi_at_are_nondecreasing_in_s(case):
+    # find_b bisects the table k -> psi(k / n), which it may do only if the float formula keeps psi's order
+    psi, w = case
+    table = [psi.psi_at(s, w)[0] for s in range(w + 1)]
+    assert all(a <= b for a, b in zip(table, table[1:]))
 
 
 def test_piecewise_built_with_list_valued_interior_knots_evaluates():

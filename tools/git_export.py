@@ -15,11 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def export(rev: str, tree: str, *paths: str) -> None:
     """Extract `paths` (all files if none) of `rev` into `tree`. If git cannot
-    archive `rev`, print `cannot export REV: <git's message>` and exit 2."""
+    archive `rev`, print `cannot export REV: git archive REV: <git's message>`
+    and exit 2: the line names REV after the colon too, since git's message
+    need not (outside a checkout it is `fatal: not a git repository ...`)."""
     done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths], capture_output=True)
     if done.returncode:
         message = " ".join(done.stderr.decode(errors="replace").split())
-        print(f"cannot export {rev}: {message}", file=sys.stderr)
+        print(f"cannot export {rev}: git archive {rev}: {message}", file=sys.stderr)
         raise SystemExit(2)
     with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
         tar.extractall(tree, filter="data")

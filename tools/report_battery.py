@@ -22,8 +22,8 @@ tests/test_tools.py compares a fresh in-process run with it line by line.
 directory, runs this same command list there in a subprocess with
 PYTHONPATH set to that tree, and prints each command whose line differs
 from this checkout's. It exits 1 if any does and 0 otherwise. If git
-cannot export REV, it prints `cannot export REV: <git's message>` and exits
-2 before running any command.
+cannot export REV, it prints `cannot export REV: git archive REV: <git's
+message>` and exits 2 before running any command.
 """
 
 from __future__ import annotations
