@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .space import Filtration, OutcomeSpace, Partition, RandomVariable, _non_positive_masses
-from .utility import CoherentUtility, _marginal_numerators, is_commonotone_pair
+from .utility import CoherentUtility, _marginal_numerators
 
 __all__ = [
     "ConditionalUtility",
@@ -49,7 +49,6 @@ __all__ = [
     "tc_gap",
     "core_bound",
     "cone_decompose",
-    "conditional_commonotone_additivity_check",
     "crafted_ladder",
     "default_probes",
     "DEFAULT_SEED",
@@ -319,20 +318,3 @@ def _acceptable_cap(cu: ConditionalUtility, x: RandomVariable) -> list[float] | 
     F1-measurable cap is acceptable today, and None when it is not."""
     eta_cap = [core_bound(cu, x, block) for block in cu.filtration.f1.blocks]
     return None if _measurable_value(cu, eta_cap) < -1e-12 else eta_cap
-
-
-def conditional_commonotone_additivity_check(
-    cu: ConditionalUtility, x: RandomVariable, y: RandomVariable
-) -> tuple[bool, tuple[float, ...]]:
-    """Per-block check of conditional additivity on a commonotone pair.
-
-    Returns (all blocks within 1e-9, per-block gaps), the gaps being
-    conditional_eval(x+y) - conditional_eval(x) - conditional_eval(y); by
-    blockwise superadditivity they are never materially negative.
-    """
-    ok, pair = is_commonotone_pair(x, y, cu.space)
-    if not ok:
-        raise ValueError(f"inputs are not commonotone: outcomes {pair} order oppositely")
-    cx, cy, cxy = (_block_values(cu, z) for z in (x, y, x + y))
-    gaps = tuple(s - a - b for a, b, s in zip(cx, cy, cxy))
-    return all(abs(g) <= GAP_TOL for g in gaps), gaps

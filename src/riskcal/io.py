@@ -22,8 +22,8 @@ line for JSON syntax errors), which the CLI turns into exit status 2.
 
 Reports are emitted either as canonical JSON text (sorted keys, two-space
 indent, trailing newline) or as CSV with a fixed header; both forms re-parse
-with parse_report / parse_report_csv, and identical inputs produce identical
-bytes.
+with the report parsers of tests/reference.py, and identical inputs produce
+identical bytes.
 
 packaged_data_path imports importlib.resources when it is called, so only
 the demos, which read the packaged example files, pay for that import.
@@ -48,8 +48,6 @@ __all__ = [
     "packaged_data_path",
     "emit_report_text",
     "emit_report_csv",
-    "parse_report",
-    "parse_report_csv",
 ]
 
 
@@ -233,21 +231,3 @@ def _csv_cell(v):
     if isinstance(v, bool):
         return str(v).lower()
     return v
-
-
-def parse_report(text: str) -> dict:
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise SchemaError("report must be a JSON object")
-    for key in ("command", "seed", "tolerance"):
-        if key not in doc:
-            raise SchemaError("missing report key", field=key)
-    return doc
-
-
-def parse_report_csv(text: str) -> list[dict]:
-    rows = list(csv.reader(_stdio.StringIO(text)))
-    if not rows:
-        raise SchemaError("empty CSV report")
-    header = rows[0]
-    return [dict(zip(header, row)) for row in rows[1:]]

@@ -9,8 +9,9 @@ and reproduces f and g as conditional utilities, in three steps per block:
 geometry writes the point (f, g) as a convex combination of the two
 boundary points cut out by the 45-degree line through it; the inverse of
 the block's indicator table k -> u_A(1_{B_k}), B_k = {U <= k/n}, picks the
-grid level whose value is nearest the mixing weight; and the conditional-mass
-lemma, set_with_conditional_mass, gives the set B of that conditional mass.
+grid level whose value is nearest the mixing weight; and B is B_k on that
+block, {rank <= k}, which has conditional mass k/n exactly (the conditional-mass
+lemma, kept as a test oracle in tests/reference.py).
 The table is monotone in k, which is all the inverse needs, so every coherent
 base lifts the same way. When the weight is not in the table, the achieved
 weight is reported and every exactness contract is stated against it, with
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .conditional import ConditionalUtility, _block_values, recompose
-from .space import EventSet, RandomVariable, UniformGrid, set_with_conditional_mass
+from .space import EventSet, RandomVariable, UniformGrid
 from .utility import is_commonotone_pair
 
 __all__ = [
@@ -128,13 +129,14 @@ def find_b(
     cu.conditioned, by bisection, as the table is monotone in k: k* is the first k whose value reaches
     the target, and as |value - target| falls before k* and rises from it, k* wins unless k* - 1 is as
     near, and then the leftmost k as near as k* - 1 does. So the nearest value wins, ties to the smaller
-    k, and set_with_conditional_mass cuts B at k/n exactly. A distortion base's table is float(psi(k/n)).
+    k, and B is {rank <= k} on the block, of conditional mass k/n exactly. A distortion base's table is
+    float(psi(k/n)).
     """
     f1 = cu.filtration.f1
     if not lambda_target.is_measurable(f1):
         raise ValueError("lambda_target must be F1-measurable")
     n = grid.resolution
-    ks, achieved = [], []
+    member, achieved = [False] * cu.space.size, []
     for block, (u, law, _) in cu.conditioned.items():
         target = lambda_target.values[block[0]]
         if not -W_TOL <= target <= 1 + W_TOL:  # NaN included
@@ -145,12 +147,10 @@ def find_b(
         k = bisect_left(range(n + 1), target, key=value)
         if k > n or (k and dist(k - 1) <= dist(k)):
             k = bisect_left(range(k), -dist(k - 1), key=lambda j: -dist(j))
-        ks.append(k)
+        for i, r in zip(block, ranks):
+            member[i] = r <= k
         achieved.append(value(k))
-    size = cu.space.size
-    h = RandomVariable.from_block_values([k / n for k in ks], f1, size)
-    b = set_with_conditional_mass(cu.space, cu.filtration, grid, h).event
-    return b, RandomVariable.from_block_values(achieved, f1, size)
+    return EventSet(tuple(member)), RandomVariable.from_block_values(achieved, f1, cu.space.size)
 
 
 def lift_pair(

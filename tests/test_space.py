@@ -19,15 +19,13 @@ from riskcal import (
     ResolutionUnavailableError,
     UniformGrid,
     build_uniform_grid,
-    conditional_expectation,
     conditional_resolution,
-    independence_check,
     product_space,
-    set_with_conditional_mass,
     validate,
 )
 import riskcal.space
 from riskcal.space import _equal_split, _place, _split_exists
+from reference import conditional_expectation, independence_check, set_with_conditional_mass
 
 
 def uniform_filtered(n: int, blocks) -> tuple[OutcomeSpace, Filtration]:
@@ -713,6 +711,22 @@ def test_a_mass_pair_is_read_by_fraction_itself():
         assert build_uniform_grid(space, filt) == UniformGrid(resolution=2, ranks=(1, 2, 2))
     assert DistortionFunction.es((np.int64(1), np.int64(2))) == DistortionFunction.es((1, 2))
     assert DistortionFunction.es((Fraction(1, 2), 1)).alpha == Fraction(1, 2)
+
+
+def test_a_fraction_with_numpy_integer_parts_is_rebuilt_by_from_masses_and_refused_when_built_directly():
+    # Fraction keeps numpy integers as its parts: from_masses passed them, validate accepted
+    # the space, and build_uniform_grid then raised TypeError in pow
+    half, quarter = Fraction(np.int64(1), np.int64(2)), Fraction(1, np.int64(4))
+    space = OutcomeSpace.from_masses([half, quarter, Fraction(1, 4)])
+    assert space.mass == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    assert all(type(m.numerator) is int and type(m.denominator) is int for m in space.mass)
+    filt = Filtration.two_period(space, [[0, 1, 2]])
+    assert validate(space, filt).ok
+    assert build_uniform_grid(space, filt) == UniformGrid(resolution=2, ranks=(1, 2, 2))
+    for masses, index in (((half, Fraction(1, 4), Fraction(1, 4)), 0), ((Fraction(3, 4), quarter, 0), 1)):
+        with pytest.raises(ValueError, match=rf"^mass {index} is {re.escape(repr(masses[index]))}, "
+                                             r"a Fraction with a numpy\.int64 part, not int parts$"):
+            OutcomeSpace(("a", "b", "c"), masses)
 
 
 # ------------------------------------- integer weights against Fraction sums

@@ -25,9 +25,9 @@ from riskcal import (
     product_example_eval,
     product_grid_rows,
     product_space,
-    relevance_check,
     scenario_min_eval,
 )
+from reference import relevance_check
 
 U2 = OutcomeSpace.uniform(2)
 U3 = OutcomeSpace.uniform(3)
@@ -79,6 +79,17 @@ def test_es_psi_exact_rational():
     assert ES_HALF.psi(Fraction(1, 2)) == 0
     assert ES_QUARTER.psi(Fraction(7, 8)) == Fraction(1, 2)
     assert ES_HALF.psi(Fraction(1)) == 1
+
+
+def test_an_es_level_with_numpy_integer_parts_is_rebuilt_by_es_and_refused_when_built_directly():
+    # with numpy parts psi_at ran in int64 and wrapped: about 0.959 at this (s, w), where es(1/3) is 0
+    third = Fraction(np.int64(1), np.int64(3))
+    s, w = 2456465800505386285, 8723768435832128934
+    es = DistortionFunction.es(third)
+    assert type(es.alpha.numerator) is int and type(es.alpha.denominator) is int
+    assert es.psi_at(s, w) == DistortionFunction.es((1, 3)).psi_at(s, w) == (0, w)
+    with pytest.raises(ValueError, match=r"^es level Fraction\(1, 3\) has a numpy\.int64 part, not int parts$"):
+        DistortionFunction("es", alpha=third)
 
 
 def test_power_psi():
