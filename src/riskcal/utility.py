@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,13 +300,19 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
 
 
 def scenario_min_eval(x: RandomVariable, s: ScenarioSet) -> tuple[float, int]:
-    """Min over the listed measures of E_Q[x], ties to the lowest index; measure 0's length is checked once."""
+    """Min over the listed measures of E_Q[x], ties to the lowest index; measure 0's length is checked once.
+
+    Each E_Q[x] is sum(map(mul, q, x)): the same products, summed left to
+    right by sum's one float path whatever the iterable, so it keeps the bits
+    of a generator over zip and leaves out its per-entry interpreter frame.
+    """
     if len(s.float_rows[0]) != len(x.values):
         raise ValueError(f"measure 0 has {len(s.float_rows[0])} entries for {len(x.values)} outcomes")
     best = float("inf")
     best_idx = -1
+    values = x.values
     for idx, q in enumerate(s.float_rows):
-        e = sum(qi * v for qi, v in zip(q, x.values))
+        e = sum(map(operator.mul, q, values))
         if e < best:
             best, best_idx = e, idx
     return best, best_idx

@@ -1,12 +1,13 @@
 """Reference implementations that only the tests use.
 
-Each was once a public riskcal name that no command path reached. They stay
-here as oracles: the conditional-mass lemma that find_b's direct cut
-{rank <= k} must reproduce at h = k/n, the independence of the uniform grid
-from F1, the conditional expectation, relevance, conditional commonotone
-additivity, and the report parsers that read what the CLI emits. Every test
-module imports them as `from reference import ...`, since pytest puts this
-directory on sys.path.
+Each was once a public riskcal name that no command path reached, or the
+form of a function that a faster one replaced. They stay here as oracles:
+the conditional-mass lemma that find_b's direct cut {rank <= k} must
+reproduce at h = k/n, the independence of the uniform grid from F1, the
+conditional expectation, relevance, the scenario minimum summed from a
+generator, conditional commonotone additivity, and the report parsers that
+read what the CLI emits. Every test module imports them as
+`from reference import ...`, since pytest puts this directory on sys.path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import floor
 from riskcal.conditional import GAP_TOL, ConditionalUtility, _block_values
 from riskcal.io import SchemaError, _load_json
 from riskcal.space import EventSet, Filtration, OutcomeSpace, Partition, RandomVariable, UniformGrid
-from riskcal.utility import CoherentUtility, is_commonotone_pair
+from riskcal.utility import CoherentUtility, ScenarioSet, is_commonotone_pair
 
 __all__ = [
     "ConditionalMassResult",
@@ -29,6 +30,7 @@ __all__ = [
     "set_with_conditional_mass",
     "independence_check",
     "relevance_check",
+    "scenario_min_by_generator",
     "conditional_commonotone_additivity_check",
     "parse_report",
     "parse_report_csv",
@@ -130,6 +132,20 @@ def relevance_check(
         if u.evaluate(x, space, filtration) - shift >= 0.0:
             return False
     return True
+
+
+def scenario_min_by_generator(x: RandomVariable, s: ScenarioSet) -> tuple[float, int]:
+    """scenario_min_eval with each E_Q[x] summed from a generator over zip, the
+    form its map over operator.mul replaced: the oracle that it keeps every bit."""
+    if len(s.float_rows[0]) != len(x.values):
+        raise ValueError(f"measure 0 has {len(s.float_rows[0])} entries for {len(x.values)} outcomes")
+    best = float("inf")
+    best_idx = -1
+    for idx, q in enumerate(s.float_rows):
+        e = sum(qi * v for qi, v in zip(q, x.values))
+        if e < best:
+            best, best_idx = e, idx
+    return best, best_idx
 
 
 # ---------------------------------------------------------------- conditional

@@ -253,6 +253,20 @@ def test_cli_validate_decides_resolution_of_a_long_ramp_quickly(tmp_path, capsys
     assert parse_report(out)["conditional_resolution"] == 16
 
 
+def test_cli_validate_decides_resolution_of_a_block_whose_searches_revisit_dead_states(tmp_path, capsys):
+    # one block of 40 masses w/720: n = 15 (room 48) has no split, and the existence
+    # search exhausted it in about 45 s until it remembered the states that held none
+    w = [29, 37, 33, 3, 14, 18, 12, 8, 23, 17, 25, 1, 31, 7, 3, 10, 40, 30, 3, 10,
+         39, 20, 8, 17, 20, 10, 31, 33, 5, 22, 2, 20, 22, 13, 9, 20, 10, 30, 18, 17]
+    h40 = tmp_path / "h40.json"
+    h40.write_text(json.dumps({"masses": [[k, 720] for k in w], "f1_blocks": [list(range(40))]}))
+    start = perf_counter()
+    code, out, _ = run_cli(["validate", "--space", str(h40)], capsys)
+    assert perf_counter() - start < 5.0
+    assert code == 0
+    assert parse_report(out)["conditional_resolution"] == 12
+
+
 def test_cli_lift_names_the_block_that_cannot_split(tmp_path, capsys):
     # block 0 (uniform) splits 4 ways; block 1, masses 2:2:1:1, splits 2 and 3 ways only
     space = tmp_path / "two_blocks.json"

@@ -576,7 +576,7 @@ def test_lift_pair_diagnostics_match_the_expand_and_read_form(data):
 
 
 def test_find_b_levels_round_trip_through_the_conditional_mass_set():
-    # find_b passes h = k / n; each level must come back as k, unsnapped, for every n up to 1030
+    # the lemma at h = k / n, as the lift oracles call it: each level must come back as k, unsnapped, for every n up to 1030
     space = OutcomeSpace.uniform(1031)
     f0, f2 = Partition.trivial(1031), Partition.singletons(1031)
     for n in range(1, 1031):

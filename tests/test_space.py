@@ -559,6 +559,27 @@ def test_place_matches_the_search_that_adds_items_back(case):
     assert _place(items, n, room) == _place_by_readding(items, n, room)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=14), st.booleans())
+@example([7, 1, 5, 2, 3, 3, 2, 10], False)  # at n = 3 a recorded state recurs 31 times before the placement
+@example([2, 10, 1, 5, 10, 12, 11, 12], False)  # at n = 3 it recurs 24 times, and no placement exists
+def test_place_finds_the_same_placement_when_it_remembers_dead_states(items, largest_first):
+    # the existence search passes integer weights largest first; any order must agree
+    if largest_first:
+        items = sorted(items, reverse=True)
+    total = sum(items)
+    for n in range(1, total + 1):
+        if total % n == 0:
+            assert _place(items, n, total // n, remember_dead=True) == _place(items, n, total // n)
+
+
+@pytest.mark.parametrize("items", [[7, 1, 5, 2, 3, 3, 2, 10], [2, 10, 1, 5, 10, 12, 11, 12]])
+def test_place_at_its_dead_state_cap_finds_the_same_placement(items, monkeypatch):
+    # a full set stops recording; the states it holds still prune only empty branches
+    monkeypatch.setattr(riskcal.space, "_DEAD_STATES_CAP", 2)
+    assert _place(items, 3, sum(items) // 3, remember_dead=True) == _place(items, 3, sum(items) // 3)
+
+
 # ------------------------------------------------ prescribed-mass event sets
 
 def test_set_with_conditional_mass_on_grid():

@@ -27,7 +27,7 @@ from riskcal import (
     product_space,
     scenario_min_eval,
 )
-from reference import relevance_check
+from reference import relevance_check, scenario_min_by_generator
 
 U2 = OutcomeSpace.uniform(2)
 U3 = OutcomeSpace.uniform(3)
@@ -737,6 +737,40 @@ def test_scenario_min_eval_matches_per_entry_float_reference_bit_for_bit(case):
         assert got == want and repr(got) == repr(want)
     assert s.float_rows == tuple(tuple(float(v) for v in q) for q in s.measures)
     assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+
+
+# ties and signed zeros, subnormals, and magnitudes up to 1e300 (twelve such terms stay finite)
+EXTREME_PAYOFF = st.one_of(
+    TIE_VALUE,
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def scenario_sets_with_extreme_payoffs(draw):
+    """1-6 valid measures on 1-12 outcomes, exact or float rows (a float row's
+    zeros may turn subnormal), and 1-4 payoffs of EXTREME_PAYOFF entries."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        raw = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n).filter(any))
+        row = [Fraction(w, sum(raw)) for w in raw]
+        if draw(st.booleans()):
+            tiny = draw(st.sampled_from([0.0, 5e-324, 1e-310]))
+            row = [float(v) if v else tiny for v in row]
+        rows.append(row)
+    payoffs = draw(st.lists(st.lists(EXTREME_PAYOFF, min_size=n, max_size=n), min_size=1, max_size=4))
+    return ScenarioSet.of(rows), [RandomVariable.of(v) for v in payoffs]
+
+
+@settings(max_examples=300)
+@given(scenario_sets_with_extreme_payoffs())
+def test_scenario_min_eval_keeps_the_bits_of_the_generator_sum(case):
+    s, payoffs = case
+    for x in payoffs:
+        (got, idx), (want, want_idx) = scenario_min_eval(x, s), scenario_min_by_generator(x, s)
+        assert got.hex() == want.hex() and idx == want_idx
 
 
 @given(st.lists(MASS, min_size=1, max_size=7))
