@@ -313,6 +313,19 @@ def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
 # and at the cap it holds about 40 MB.
 _DEAD_STATES_CAP = 1 << 17
 
+# A split search that backtracks this many times stops undecided: equal-sum
+# partitioning is NP-hard (Korf 2009), so no pruning bounds every search. The
+# longest searches that the tests, the report battery and the benchmark decide
+# take 45,691 backtracks (a 40-outcome block's existence search at n = 15),
+# 44,967 (a 14-outcome ramp's canonical split) and 5,899 (a 12-outcome ramp's).
+# At 70k to 240k backtracks a second on a 2-vCPU Xeon, an exhausted search
+# costs 1 to 2 s.
+_SEARCH_BUDGET = 150_000
+
+
+class _SearchBudgetExhausted(Exception):
+    """A split search ran past _SEARCH_BUDGET backtracks without an answer."""
+
 
 def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[int] | None:
     """Each item's group when the items fill n groups of `room` each, or None.
@@ -324,7 +337,9 @@ def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[i
     item, which no item can fill. The cut prunes only branches that hold no
     placement, so the first placement found does not depend on it. Complete
     backtracking on one explicit stack, so None means no placement exists and
-    a long block needs no recursion. The items must sum to n * room.
+    a long block needs no recursion. The items must sum to n * room. Past
+    _SEARCH_BUDGET backtracks it raises _SearchBudgetExhausted: neither answer
+    is known then.
 
     Each saving is exact for ints and Fractions, zero and negative items
     included: a backtrack restores the room its group had, kept on the stack
@@ -350,6 +365,7 @@ def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[i
     saved: list[tuple] = []  # saved[k]: the rooms tried for items[k], and its group's room before it
     start, tried = 0, {}  # for items[len(placed)]: the next group to try, each tried room's group
     dead: set[tuple] = set()  # (position, sorted rooms) of states that hold no placement
+    budget = _SEARCH_BUDGET  # backtracks left
     while True:
         pos = len(placed)
         if pos == len(items):  # every group is full, since the items sum to n * room
@@ -373,6 +389,9 @@ def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[i
         else:
             if not placed:
                 return None
+            budget -= 1
+            if budget < 0:
+                raise _SearchBudgetExhausted
             if remember_dead and len(dead) < _DEAD_STATES_CAP:
                 dead.add((pos, tuple(sorted(rooms))))
             g = placed.pop()  # take items[pos - 1] back out of group g
@@ -380,42 +399,37 @@ def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[i
             start = g + 1
 
 
-def _equal_split(masses: Sequence[Fraction], n: int) -> list[list[int]] | None:
-    """Partition positions 0..len-1 into n groups of equal mass sum, or None.
+def _equal_split(masses: Sequence[Fraction], n: int) -> list[int] | None:
+    """Each position's group 0..n-1 when positions 0..len-1 split into n groups
+    of equal mass sum, or None.
 
     The canonical split: _place on the exact Fraction masses in index order.
     """
     target = sum(masses, Fraction(0)) / n
     if any(m > target for m in masses):
         return None
-    placed = _place(masses, n, target)
-    if placed is None:
-        return None
-    groups: list[list[int]] = [[] for _ in range(n)]
-    for pos, g in enumerate(placed):
-        groups[g].append(pos)
-    return groups
+    return _place(masses, n, target)
 
 
-def _split_exists(masses: Sequence[Fraction], n: int) -> bool:
-    """Whether positions 0..len-1 split into n groups of equal mass sum.
+def _split_exists(weights: Sequence[int], n: int) -> bool:
+    """Whether positions 0..len-1 of a block's positive integer weights (as
+    OutcomeSpace.weights caches them) split into n groups of equal sum.
 
     Decides existence only, not _equal_split's canonical assignment: _place
-    on integer weights (mass * lcm of the denominators, formed as in
-    OutcomeSpace.weights with no Fraction product), largest first (the
-    ordering of complete multi-way number partitioning, Korf 2009).
+    on the weights largest first (the ordering of complete multi-way number
+    partitioning, Korf 2009). A split does not depend on the weights' scale.
     """
-    scale = lcm(*(m.denominator for m in masses))
-    weights = sorted((m.numerator * (scale // m.denominator) for m in masses), reverse=True)
+    weights = sorted(weights, reverse=True)
     total = sum(weights)
     if total % n or max(weights, default=0) > total // n:
         return False
     return _place(weights, n, total // n, remember_dead=True) is not None
 
 
-def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
+def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int | None:
     """Largest n >= 2 such that every F1 block splits into n equal-conditional-mass
-    sub-events (exact arithmetic); 0 if no such n exists.
+    sub-events (exact arithmetic); 0 if no such n exists, and None if it is
+    unknown: a block's search at that n ran out of budget and no block refuted n.
 
     This is the finite surrogate for conditional atomlessness and the n of
     the default grid. Only existence matters here, so each (block, n) is
@@ -427,8 +441,15 @@ def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int:
         return 0
     cap = min(len(b) for b in blocks)
     for n in range(cap, 1, -1):
-        if all(_split_exists([space.mass[i] for i in b], n) for b in blocks):
-            return n
+        unknown = False
+        for b in blocks:
+            try:
+                if not _split_exists([space.weights[i] for i in b], n):
+                    break
+            except _SearchBudgetExhausted:
+                unknown = True  # another block may still refute n
+        else:
+            return None if unknown else n
     return 0
 
 
@@ -438,6 +459,7 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     n=None uses the conditional resolution, at which every block splits. A
     requested n is checked by _split_exists once per distinct conditional
     law of a block, and the first block that cannot split n ways is named.
+    A split search that runs out of budget refuses the grid as unavailable.
     The ranks come from the canonical-order backtracking of _equal_split,
     run once per distinct law, so outputs are reproducible. Blocks that do
     not hold each outcome exactly once are refused, as ConditionalUtility does,
@@ -452,25 +474,35 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     requested = n is not None
     if not requested:
         n = conditional_resolution(space, filtration)
+        if n is None:
+            raise ResolutionUnavailableError(
+                f"resolution unavailable: search budget: a split search ran past {_SEARCH_BUDGET} "
+                "backtracks before the conditional resolution was decided"
+            )
         if n == 0:
             raise ResolutionUnavailableError(
                 "resolution unavailable: the F1 blocks admit no common equal-conditional-mass split"
             )
     ranks = [0] * space.size
-    splits: dict[tuple[Fraction, ...], list[list[int]]] = {}
-    for j, block in enumerate(filtration.f1.blocks):
-        law = space.given(block).mass
-        if law not in splits:
-            # an empty block cannot split, though _split_exists passes it
-            if not block or (requested and not _split_exists(law, n)):
-                raise ResolutionUnavailableError(
-                    f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
-                    f"{n}-way equal-conditional-mass split"
-                )
-            splits[law] = _equal_split(law, n)
-        for rank0, positions in enumerate(splits[law]):
-            for pos in positions:
-                ranks[block[pos]] = rank0 + 1
+    splits: dict[tuple[Fraction, ...], list[int]] = {}
+    try:
+        for j, block in enumerate(filtration.f1.blocks):
+            law = space.given(block).mass
+            if law not in splits:
+                # an empty block cannot split, though _split_exists passes it
+                if not block or (requested and not _split_exists([space.weights[i] for i in block], n)):
+                    raise ResolutionUnavailableError(
+                        f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
+                        f"{n}-way equal-conditional-mass split"
+                    )
+                splits[law] = _equal_split(law, n)
+            for i, group in zip(block, splits[law]):
+                ranks[i] = group + 1
+    except _SearchBudgetExhausted:
+        raise ResolutionUnavailableError(
+            f"resolution unavailable: search budget: the {n}-way split search on F1 block {j} "
+            f"{tuple(block)} ran past {_SEARCH_BUDGET} backtracks"
+        ) from None
     return UniformGrid(resolution=n, ranks=tuple(ranks))
 
 

@@ -267,6 +267,44 @@ def test_cli_validate_decides_resolution_of_a_block_whose_searches_revisit_dead_
     assert parse_report(out)["conditional_resolution"] == 12
 
 
+# one block of 60 masses w/1440: every n from 24 up is refuted at once, but the
+# search at n = 20 runs out of budget undecided (it ran for minutes unbudgeted)
+H60 = [25, 25, 40, 14, 24, 19, 36, 36, 27, 7, 13, 20, 13, 32, 9, 24, 7, 28, 14, 12,
+       23, 40, 13, 36, 40, 40, 40, 11, 40, 40, 12, 26, 15, 8, 40, 27, 25, 26, 40, 19,
+       11, 20, 15, 25, 21, 18, 40, 13, 38, 29, 35, 27, 30, 19, 38, 14, 7, 4, 38, 12]
+
+
+def _h60(tmp_path) -> str:
+    h60 = tmp_path / "h60.json"
+    h60.write_text(json.dumps({"masses": [[k, 1440] for k in H60], "f1_blocks": [list(range(60))]}))
+    return str(h60)
+
+
+def test_cli_validate_reports_a_resolution_its_search_could_not_decide_as_null(tmp_path, capsys):
+    start = perf_counter()
+    code, out, err = run_cli(["validate", "--space", _h60(tmp_path)], capsys)
+    assert perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    doc = parse_report(out)
+    assert doc["ok"] is True and doc["conditional_resolution"] is None  # unknown, where 0 would claim no split
+    _, decided, _ = run_cli(["validate", "--space", data("space_8.json")], capsys)
+    assert doc.keys() == parse_report(decided).keys()
+
+
+@pytest.mark.parametrize("grid_n, where", [
+    ([], "before the conditional resolution was decided"),
+    (["--grid-n", "20"], "the 20-way split search on F1 block 0 "),
+])
+def test_cli_lift_refuses_a_grid_whose_split_search_runs_out_of_budget(grid_n, where, tmp_path, capsys):
+    f, g = ",".join(["1"] * 60), ",".join(["0"] * 60)
+    start = perf_counter()
+    code, out, err = run_cli(["lift", "--space", _h60(tmp_path), "--utility", data("utility_es_half.json"),
+                              "--f", f, "--g", g, *grid_n], capsys)
+    assert perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("input error: resolution unavailable: search budget: ") and where in err
+
+
 def test_cli_lift_names_the_block_that_cannot_split(tmp_path, capsys):
     # block 0 (uniform) splits 4 ways; block 1, masses 2:2:1:1, splits 2 and 3 ways only
     space = tmp_path / "two_blocks.json"

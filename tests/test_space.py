@@ -340,9 +340,8 @@ def _canonical_grid_ranks(space, filt, n):
                 f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                 f"{n}-way equal-conditional-mass split"
             )
-        for rank0, positions in enumerate(split):
-            for pos in positions:
-                ranks[block[pos]] = rank0 + 1
+        for i, group in zip(block, split):
+            ranks[i] = group + 1
     return n, tuple(ranks)
 
 
@@ -350,8 +349,10 @@ def _canonical_grid_ranks(space, filt, n):
 @given(_block_masses)
 @example([Fraction(m, 12) for m in (2, 3, 3, 2, 2)])  # in index order the dead-room cut prunes at n = 2
 def test_split_exists_matches_canonical_split(masses):
+    scale = math.lcm(*(m.denominator for m in masses))
+    weights = [int(m * scale) for m in masses]
     for n in range(1, len(masses) + 2):
-        assert _split_exists(masses, n) == (_equal_split(masses, n) is not None)
+        assert _split_exists(weights, n) == (_equal_split(masses, n) is not None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,16 +394,15 @@ def _three_phase_grid(space, filt, n=None):
             )
         n = res
     for j, block in enumerate(filt.f1.blocks):
-        if not _split_exists([space.mass[i] for i in block], n):
+        if not _split_exists([space.weights[i] for i in block], n):
             raise ResolutionUnavailableError(
                 f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                 f"{n}-way equal-conditional-mass split"
             )
     ranks = [0] * space.size
     for block in filt.f1.blocks:
-        for rank0, positions in enumerate(_equal_split(space.given(block).mass, n)):
-            for pos in positions:
-                ranks[block[pos]] = rank0 + 1
+        for i, group in zip(block, _equal_split(space.given(block).mass, n)):
+            ranks[i] = group + 1
     return UniformGrid(resolution=n, ranks=tuple(ranks))
 
 
@@ -446,7 +446,7 @@ def test_grid_searches_a_requested_n_once_per_distinct_block_law(monkeypatch):
 
 def _recursive_equal_split(masses, n):
     """_equal_split as one recursive call per position: the reference for its
-    explicit-stack search, which must return the same groups."""
+    explicit-stack search, which must return the same split."""
     total = sum(masses, Fraction(0))
     target = total / n
     if any(m > target for m in masses):
@@ -476,12 +476,17 @@ def _recursive_equal_split(masses, n):
     return groups if place(0) else None
 
 
+def _placement(groups):
+    """Each position's group, from groups of positions, as _equal_split returns it; None stays None."""
+    return None if groups is None else [g for _, g in sorted((p, g) for g, ps in enumerate(groups) for p in ps)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_block_masses)
 @example([Fraction(m, 12) for m in (2, 3, 3, 2, 2)])  # in index order the dead-room cut prunes at n = 2
 def test_equal_split_matches_recursive_reference(masses):
     for n in range(1, len(masses) + 2):
-        assert _equal_split(masses, n) == _recursive_equal_split(masses, n)
+        assert _equal_split(masses, n) == _placement(_recursive_equal_split(masses, n))
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])
@@ -489,12 +494,12 @@ def test_equal_split_matches_recursive_reference_on_ramps(k):
     # masses proportional to 1..k: the most backtracking among the shipped shapes
     ramp = [Fraction(i, k * (k + 1) // 2) for i in range(1, k + 1)]
     for n in range(1, k + 2):
-        assert _equal_split(ramp, n) == _recursive_equal_split(ramp, n)
+        assert _equal_split(ramp, n) == _placement(_recursive_equal_split(ramp, n))
 
 
 def test_equal_split_of_a_block_longer_than_the_recursion_limit():
     flat = [Fraction(1, 1030)] * 1030
-    assert _equal_split(flat, 2) == [list(range(515)), list(range(515, 1030))]
+    assert _equal_split(flat, 2) == [0] * 515 + [1] * 515
 
 
 def _place_by_readding(items, n, room):
@@ -578,6 +583,55 @@ def test_place_at_its_dead_state_cap_finds_the_same_placement(items, monkeypatch
     # a full set stops recording; the states it holds still prune only empty branches
     monkeypatch.setattr(riskcal.space, "_DEAD_STATES_CAP", 2)
     assert _place(items, 3, sum(items) // 3, remember_dead=True) == _place(items, 3, sum(items) // 3)
+
+
+def _grid_or_refusal(space, filt, n):
+    """build_uniform_grid's grid, or the message of its ResolutionUnavailableError."""
+    try:
+        return build_uniform_grid(space, filt, n)
+    except ResolutionUnavailableError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filtered_spaces(), st.integers(0, 10))
+@example(ODD_RESOLUTION, 0)
+def test_a_small_search_budget_answers_right_or_unknown(case, budget):
+    # a search out of budget may leave the answer unknown, but never makes it wrong
+    space, filt = case
+    ns = [None, *range(1, max(len(b) for b in filt.f1.blocks) + 2)]
+    want_resolution = conditional_resolution(space, filt)
+    want = {n: _grid_or_refusal(space, filt, n) for n in ns}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riskcal.space, "_SEARCH_BUDGET", budget)
+        assert conditional_resolution(space, filt) in (want_resolution, None)
+        for n in ns:
+            got = _grid_or_refusal(space, filt, n)
+            assert got == want[n] or (isinstance(got, str) and got.startswith("resolution unavailable: search budget"))
+
+
+def test_resolution_reads_a_refutation_past_a_block_out_of_budget(monkeypatch):
+    # block 0 (uniform) splits 2 and 4 ways; block 1, masses 2:2:1:1, splits 2 and 3 ways
+    space = OutcomeSpace.from_masses([(1, 8)] * 4 + [(1, 6), (1, 6), (1, 12), (1, 12)])
+    filt = Filtration.two_period(space, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    assert conditional_resolution(space, filt) == 2
+    search = riskcal.space._split_exists
+
+    def out_of_budget_on_block_0_at(k):
+        def split_exists(weights, n):
+            if n == k and len(set(weights)) == 1:  # only block 0's weights are all equal
+                raise riskcal.space._SearchBudgetExhausted
+            return search(weights, n)
+        return split_exists
+
+    # block 1 refutes n = 4, which block 0 left undecided, so the resolution 2 is still known
+    monkeypatch.setattr(riskcal.space, "_split_exists", out_of_budget_on_block_0_at(4))
+    assert conditional_resolution(space, filt) == 2
+    # nothing refutes n = 2, so the resolution is unknown, and the default grid is refused
+    monkeypatch.setattr(riskcal.space, "_split_exists", out_of_budget_on_block_0_at(2))
+    assert conditional_resolution(space, filt) is None
+    with pytest.raises(ResolutionUnavailableError, match="^resolution unavailable: search budget"):
+        build_uniform_grid(space, filt)
 
 
 # ------------------------------------------------ prescribed-mass event sets

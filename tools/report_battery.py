@@ -185,6 +185,12 @@ RECTANGULAR = {  # space_8's m-stable set: block 0 weighs a/b = 1/2 or 1/4, and 
         [[a * p, b * q] for p, q in nu0] + [[(b - a) * p, b * q] for p, q in nu1]
         for a, b in ((1, 2), (1, 4)) for nu0 in _NUS for nu1 in _NUS]}},
 }
+SEARCH_BUDGET = {  # one block of 40 masses w/720, whose split searches run longest among the battery's
+    "h40.json": {"masses": [[w, 720] for w in (29, 37, 33, 3, 14, 18, 12, 8, 23, 17, 25, 1, 31, 7, 3, 10, 40, 30,
+                                                3, 10, 39, 20, 8, 17, 20, 10, 31, 33, 5, 22, 2, 20, 22, 13, 9, 20,
+                                                10, 30, 18, 17)],
+                 "f1_blocks": [list(range(40))]},
+}
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -491,9 +497,20 @@ def scenario_lifts() -> list[list[str]]:
     return cmds
 
 
+def search_budget() -> list[list[str]]:
+    """`validate` and `lift` at the default grid, in text and csv, on the
+    40-outcome block: the existence search decides the resolution 12 after
+    refuting n = 15 by its dead states, and the canonical split at 12 runs
+    out of search budget, so `lift` is refused."""
+    space, = SEARCH_BUDGET
+    f, g = _payoffs(space)
+    lift = ["lift", "--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g]
+    return [["validate", "--space", space, *fmt] for fmt in FORMATS] + [[*lift, *fmt] for fmt in FORMATS]
+
+
 GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
           exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids,
-          product_grids, mass_violations, ramp_grids, scenario_lifts)
+          product_grids, mass_violations, ramp_grids, scenario_lifts, search_budget)
 
 
 def commands() -> list[list[str]]:
@@ -524,7 +541,8 @@ def reports():
         for name, doc in {**GENERATED, **MALFORMED, **RAGGED, **SPLITS, **UNDERFLOW, **CONDITIONED,
                           **LONG_SPLIT, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
                           **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS,
-                          **PRODUCT_GRIDS, **MASS_VIOLATIONS, **RAMP_GRIDS, **RECTANGULAR}.items():
+                          **PRODUCT_GRIDS, **MASS_VIOLATIONS, **RAMP_GRIDS, **RECTANGULAR,
+                          **SEARCH_BUDGET}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
