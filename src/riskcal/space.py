@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -417,13 +417,29 @@ def _split_exists(weights: Sequence[int], n: int) -> bool:
 
     Decides existence only, not _equal_split's canonical assignment: _place
     on the weights largest first (the ordering of complete multi-way number
-    partitioning, Korf 2009). A split does not depend on the weights' scale.
+    partitioning, Korf 2009). A split does not depend on the weights' scale,
+    so they are divided by their gcd first: the space-wide weights of a block
+    can carry factors from other blocks' denominators, and one of them
+    dividing n would stop the divisibility test from refuting n at once.
     """
-    weights = sorted(weights, reverse=True)
+    common = gcd(*weights)
+    weights = sorted((w // common for w in weights) if common > 1 else weights, reverse=True)
     total = sum(weights)
     if total % n or max(weights, default=0) > total // n:
         return False
     return _place(weights, n, total // n, remember_dead=True) is not None
+
+
+def _existence_split(weights: Sequence[int], n: int) -> list[int]:
+    """Each position's group 0..n-1 in the split that _split_exists found on
+    these weights, which must hold one: its _place run again, unreduced since
+    scale changes no step, and put back in index order."""
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+    items = [weights[i] for i in order]
+    groups = [0] * len(order)
+    for i, group in zip(order, _place(items, n, sum(items) // n, remember_dead=True)):
+        groups[i] = group
+    return groups
 
 
 def conditional_resolution(space: OutcomeSpace, filtration: Filtration) -> int | None:
@@ -459,9 +475,11 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
     n=None uses the conditional resolution, at which every block splits. A
     requested n is checked by _split_exists once per distinct conditional
     law of a block, and the first block that cannot split n ways is named.
-    A split search that runs out of budget refuses the grid as unavailable.
     The ranks come from the canonical-order backtracking of _equal_split,
-    run once per distinct law, so outputs are reproducible. Blocks that do
+    run once per distinct law, so outputs are reproducible; where it runs out
+    of budget at an n the existence search has decided, they come from that
+    search's placement, deterministic too. An existence search that runs out
+    of budget refuses the grid as unavailable. Blocks that do
     not hold each outcome exactly once are refused, as ConditionalUtility does,
     and so is a space with a mass <= 0, with validate's line for the first, at every n.
     """
@@ -495,7 +513,12 @@ def build_uniform_grid(space: OutcomeSpace, filtration: Filtration, n: int | Non
                         f"resolution unavailable: F1 block {j} {tuple(block)} admits no "
                         f"{n}-way equal-conditional-mass split"
                     )
-                splits[law] = _equal_split(law, n)
+                try:
+                    splits[law] = _equal_split(law, n)
+                except _SearchBudgetExhausted:
+                    # the existence search decided n on this block within budget, and
+                    # repeats that search exactly, so its placement is the fallback
+                    splits[law] = _existence_split([space.weights[i] for i in block], n)
             for i, group in zip(block, splits[law]):
                 ranks[i] = group + 1
     except _SearchBudgetExhausted:

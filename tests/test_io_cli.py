@@ -267,6 +267,22 @@ def test_cli_validate_decides_resolution_of_a_block_whose_searches_revisit_dead_
     assert parse_report(out)["conditional_resolution"] == 12
 
 
+def test_cli_lift_grids_a_block_whose_canonical_split_runs_out_of_budget(tmp_path, capsys):
+    # the same 40 masses: the canonical split at n = 12 runs out of budget, and the grid
+    # takes the existence search's 12-way split instead of refusing
+    w = [29, 37, 33, 3, 14, 18, 12, 8, 23, 17, 25, 1, 31, 7, 3, 10, 40, 30, 3, 10,
+         39, 20, 8, 17, 20, 10, 31, 33, 5, 22, 2, 20, 22, 13, 9, 20, 10, 30, 18, 17]
+    h40 = tmp_path / "h40.json"
+    h40.write_text(json.dumps({"masses": [[k, 720] for k in w], "f1_blocks": [list(range(40))]}))
+    start = perf_counter()
+    code, out, err = run_cli(["lift", "--space", str(h40), "--utility", data("utility_es_half.json"),
+                              "--f", ",".join(["1"] * 40), "--g", ",".join(["0"] * 40)], capsys)
+    assert perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    doc = parse_report(out)
+    assert doc["grid_n"] == doc["diagnostics"]["resolution_used"] == 12
+
+
 # one block of 60 masses w/1440: every n from 24 up is refuted at once, but the
 # search at n = 20 runs out of budget undecided (it ran for minutes unbudgeted)
 H60 = [25, 25, 40, 14, 24, 19, 36, 36, 27, 7, 13, 20, 13, 32, 9, 24, 7, 28, 14, 12,

@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -593,6 +594,17 @@ def _grid_or_refusal(space, filt, n):
         return str(e)
 
 
+def _splits_every_block_equally(space, filt, grid):
+    """Whether each rank 1..n holds conditional mass 1/n in every F1 block."""
+    for block in filt.f1.blocks:
+        sums = [Fraction(0)] * grid.resolution
+        for i, m in zip(block, space.given(block).mass):
+            sums[grid.ranks[i] - 1] += m
+        if any(s != Fraction(1, grid.resolution) for s in sums):
+            return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(_filtered_spaces(), st.integers(0, 10))
 @example(ODD_RESOLUTION, 0)
@@ -607,7 +619,11 @@ def test_a_small_search_budget_answers_right_or_unknown(case, budget):
         assert conditional_resolution(space, filt) in (want_resolution, None)
         for n in ns:
             got = _grid_or_refusal(space, filt, n)
-            assert got == want[n] or (isinstance(got, str) and got.startswith("resolution unavailable: search budget"))
+            if isinstance(got, str):
+                assert got == want[n] or got.startswith("resolution unavailable: search budget")
+            else:  # the canonical grid, or the existence search's split where the canonical one ran out
+                assert isinstance(want[n], UniformGrid) and got.resolution == want[n].resolution
+                assert got == want[n] or _splits_every_block_equally(space, filt, got)
 
 
 def test_resolution_reads_a_refutation_past_a_block_out_of_budget(monkeypatch):
@@ -632,6 +648,39 @@ def test_resolution_reads_a_refutation_past_a_block_out_of_budget(monkeypatch):
     assert conditional_resolution(space, filt) is None
     with pytest.raises(ResolutionUnavailableError, match="^resolution unavailable: search budget"):
         build_uniform_grid(space, filt)
+
+
+def test_grid_takes_the_existence_placement_where_the_canonical_split_runs_out(monkeypatch):
+    # masses 1..11 / 66 split 6 ways; the canonical split backtracks, the existence search does not
+    space = OutcomeSpace.from_masses(_ramp(11))
+    filt = Filtration.two_period(space, [range(11)])
+    assert build_uniform_grid(space, filt).ranks == (1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 6)
+    monkeypatch.setattr(riskcal.space, "_SEARCH_BUDGET", 0)
+    grid = build_uniform_grid(space, filt)
+    assert grid.resolution == 6
+    assert grid.ranks == (2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1)  # largest first, each into the lowest group it fits
+    assert _splits_every_block_equally(space, filt, grid)
+    assert build_uniform_grid(space, filt, 6) == grid
+
+
+# one block of 40 masses w/720 whose resolution is 12
+H40 = [29, 37, 33, 3, 14, 18, 12, 8, 23, 17, 25, 1, 31, 7, 3, 10, 40, 30, 3, 10,
+       39, 20, 8, 17, 20, 10, 31, 33, 5, 22, 2, 20, 22, 13, 9, 20, 10, 30, 18, 17]
+
+
+def test_resolution_refutes_n_on_weights_that_carry_another_blocks_factor(monkeypatch):
+    # H40 halved, and a block of 7 outcomes at 1/14 each, whose denominator makes
+    # every H40 weight a multiple of 7: at n = 7 the total divides by 7 but the room
+    # 720 (in the block's own units) does not, so no group fills and 7 is refuted at once
+    space = OutcomeSpace.from_masses([(w, 1440) for w in H40] + [(1, 14)] * 7)
+    filt = Filtration.two_period(space, [range(40), range(40, 47)])
+    assert all(space.weights[i] % 7 == 0 for i in range(40))
+    start = perf_counter()
+    assert conditional_resolution(space, filt) == 0
+    assert perf_counter() - start < 0.5
+    monkeypatch.setattr(riskcal.space, "_SEARCH_BUDGET", 0)  # no backtrack is needed to decide it
+    assert not _split_exists([space.weights[i] for i in range(40)], 7)
+    assert conditional_resolution(space, filt) == 0
 
 
 # ------------------------------------------------ prescribed-mass event sets

@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,24 @@ def test_report_battery_against_an_unknown_revision_prints_one_line_and_exits_2(
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cannot export nosuchrev: ")
     assert "nosuchrev" in lines[0][len("cannot export nosuchrev: "):]
+
+
+def test_report_battery_records_a_command_past_its_timeout_and_goes_on(monkeypatch):
+    # every command runs under a timeout, so --against a revision whose search never ends still finishes
+    def main(argv):
+        if argv == ["hang"]:
+            while True:
+                pass
+        print("done")
+        return 0
+
+    monkeypatch.setattr(report_battery.riskcal.cli, "main", main)
+    monkeypatch.setattr(report_battery, "TIMEOUT_S", 0.2)
+    start = time.perf_counter()
+    assert report_battery.run(["hang"]) == ("timeout", "", "")
+    assert time.perf_counter() - start < 5.0
+    assert report_battery.run(["quick"]) == (0, "done\n", "")
+    time.sleep(0.3)  # the quick command's timer was cancelled, so nothing fires now
 
 
 def _run(pair, side, wall, rss):

@@ -24,6 +24,10 @@ PYTHONPATH set to that tree, and prints each command whose line differs
 from this checkout's. It exits 1 if any does and 0 otherwise. If git
 cannot export REV, it prints `cannot export REV: git archive REV: <git's
 message>` and exits 2 before running any command.
+
+Every command stops after TIMEOUT_S seconds and records the exit code
+`timeout`, so a REV whose search on some command has no end shows that
+command as differing instead of never finishing.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -501,7 +506,7 @@ def search_budget() -> list[list[str]]:
     """`validate` and `lift` at the default grid, in text and csv, on the
     40-outcome block: the existence search decides the resolution 12 after
     refuting n = 15 by its dead states, and the canonical split at 12 runs
-    out of search budget, so `lift` is refused."""
+    out of search budget, so `lift` grids with the existence search's split."""
     space, = SEARCH_BUDGET
     f, g = _payoffs(space)
     lift = ["lift", "--space", space, "--utility", "utility_expectation.json", "--f", f, "--g", g]
@@ -518,16 +523,37 @@ def commands() -> list[list[str]]:
     return [cmd for group in GROUPS for cmd in group()]
 
 
+# far above any command's time in this checkout, where every split search has a budget
+TIMEOUT_S = 60.0
+
+
+class _Timeout(BaseException):
+    """A command ran past its timeout; a BaseException, so no handler in the CLI catches it."""
+
+
+def _time_out(signum, frame):
+    raise _Timeout
+
+
 def run(argv: list[str]) -> tuple[int | str, str, str]:
+    """A command's (exit code, stdout, stderr); the code is "timeout" if it
+    runs past TIMEOUT_S seconds, counted by SIGALRM."""
     out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = riskcal.cli.main(argv)
+    except _Timeout:
+        code = "timeout"
     except SystemExit as e:  # argparse refusals
         code = e.code
     except Exception as e:  # a crash is a result to compare; its frames name this checkout's paths
         code = "crash"
         err.write("".join(traceback.format_exception_only(e)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
 
 
