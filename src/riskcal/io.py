@@ -116,10 +116,11 @@ def parse_space(text: str) -> tuple[OutcomeSpace, Filtration]:
         raise SchemaError("must be a nonempty list", field="masses")
     masses = [_rational(m, field=f"masses[{i}]") for i, m in enumerate(masses_raw)]
     labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(masses) or not all(isinstance(s, str) for s in labels):
-            raise SchemaError("labels must list one string per outcome", field="labels")
-    space = OutcomeSpace.from_masses(masses, labels=labels)
+    if labels is None:
+        labels = [f"w{i}" for i in range(len(masses))]
+    elif not isinstance(labels, list) or len(labels) != len(masses) or not all(isinstance(s, str) for s in labels):
+        raise SchemaError("labels must list one string per outcome", field="labels")
+    space = OutcomeSpace(tuple(labels), tuple(masses))  # _rational's Fractions have int parts
     blocks_raw = doc["f1_blocks"]
     if not isinstance(blocks_raw, list) or not blocks_raw:
         raise SchemaError("must be a nonempty list of index lists", field="f1_blocks")

@@ -20,6 +20,7 @@ the target deviation carried as snap error.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
@@ -174,6 +175,9 @@ def lift_pair(
         raise ValueError("f and g must be F1-measurable")
     size = cu.space.size
     m = max(f.sup_norm(), g.sup_norm())
+    limit = sys.float_info.max / 4  # xi + eta and geometry_xyl's d reach 4m in magnitude
+    if m > limit:
+        raise ValueError(f"payoff magnitude {m!r} exceeds {limit!r}, the largest whose lift stays finite")
     n_blocks = len(f1.blocks)
     if m == 0.0:
         zero = RandomVariable.constant(0.0, size)

@@ -307,19 +307,15 @@ def validate(space: OutcomeSpace, filtration: Filtration) -> ValidationReport:
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
-# The dead-state set stops growing at this many states. The 40-outcome block that
-# tests/test_io_cli.py validates records 45,691 at n = 15; an undecided search, as
-# on a 60-outcome block at n = 20, grew an unbounded set by about 38 MB a second,
-# and at the cap it holds about 40 MB.
-_DEAD_STATES_CAP = 1 << 17
-
 # A split search that backtracks this many times stops undecided: equal-sum
 # partitioning is NP-hard (Korf 2009), so no pruning bounds every search. The
 # longest searches that the tests, the report battery and the benchmark decide
 # take 45,691 backtracks (a 40-outcome block's existence search at n = 15),
 # 44,967 (a 14-outcome ramp's canonical split) and 5,899 (a 12-outcome ramp's).
 # At 70k to 240k backtracks a second on a 2-vCPU Xeon, an exhausted search
-# costs 1 to 2 s.
+# costs 1 to 2 s. The existence search's dead-state set gains at most one state
+# per backtrack, so at the budget it holds 150,000 states: 41 MB at its peak
+# (tracemalloc) on a 60-outcome block at n = 20, whose states hold 20 rooms.
 _SEARCH_BUDGET = 150_000
 
 
@@ -353,11 +349,10 @@ def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[i
     so such a state holds no placement wherever it recurs: the set prunes
     only empty branches, and the first placement found does not change. The
     set is read only once it holds a state, so a search that exhausts none
-    pays one truth test per node, and it keeps at most _DEAD_STATES_CAP
-    states, past which a dead state is only searched again. The existence
-    search turns it on; the canonical split leaves it off, since on Fraction
-    rooms its states rarely recur and sorting and hashing them slowed the
-    ramp split by up to 1.8x.
+    pays one truth test per node. It gains at most one state per backtrack,
+    so _SEARCH_BUDGET bounds it. The existence search turns it on; the
+    canonical split leaves it off, since on Fraction rooms its states rarely
+    recur and sorting and hashing them slowed the ramp split by up to 1.8x.
     """
     smallest = min(items, default=0)
     rooms = [room] * n
@@ -392,7 +387,7 @@ def _place(items: Sequence, n: int, room, remember_dead: bool = False) -> list[i
             budget -= 1
             if budget < 0:
                 raise _SearchBudgetExhausted
-            if remember_dead and len(dead) < _DEAD_STATES_CAP:
+            if remember_dead:
                 dead.add((pos, tuple(sorted(rooms))))
             g = placed.pop()  # take items[pos - 1] back out of group g
             tried, rooms[g] = saved.pop()

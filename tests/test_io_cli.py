@@ -4,7 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 from time import perf_counter
 from unittest import mock
@@ -1112,6 +1114,34 @@ def test_cli_lift_zero_payoffs_give_zero_geometry(capsys):
     rows = parse_report_csv(out)
     assert len(rows) == 2
     assert all(r[k] == "0.0" for r in rows for k in ("f", "g", "x_x", "x_y", "y_x", "y_y"))
+
+
+# the largest payoff magnitude m that lift takes: xi + eta reaches 4m, which is then the largest float
+LIFT_LIMIT = sys.float_info.max / 4
+
+
+def _lift_at(m, capsys):
+    # block 0 at (f, g) = (-m, m) has weight 1/2 on Y = (m, 3m) and X = (-3m, -m), which the
+    # expectation meets with one outcome each, so xi + eta holds 4m and -4m
+    return run_cli(["lift", "--space", data("space_4.json"), "--utility", data("utility_expectation.json"),
+                    f"--f={-m!r},{-m!r},0,0", f"--g={m!r},{m!r},0,0"], capsys)
+
+
+def test_cli_lift_answers_at_the_largest_payoff_magnitude(capsys):
+    code, out, err = _lift_at(LIFT_LIMIT, capsys)
+    assert code == 0 and err == ""
+    doc = parse_report(out)
+    assert doc["m"] == LIFT_LIMIT
+    sums = [x + y for x, y in zip(doc["xi"], doc["eta"])]
+    assert (min(sums), max(sums)) == (-sys.float_info.max, sys.float_info.max)
+
+
+def test_cli_lift_refuses_a_payoff_magnitude_one_float_past_the_limit(capsys):
+    # the sum payoff overflowed to inf, and the report failed as JSON with an internal message
+    m = math.nextafter(LIFT_LIMIT, math.inf)
+    code, out, err = _lift_at(m, capsys)
+    _assert_input_error(code, out, err)
+    assert err == f"input error: payoff magnitude {m!r} exceeds {LIFT_LIMIT!r}, the largest whose lift stays finite\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -1,5 +1,6 @@
 """Exact-arithmetic checks for spaces, partitions, grids and conditional masses."""
 
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -579,13 +580,6 @@ def test_place_finds_the_same_placement_when_it_remembers_dead_states(items, lar
             assert _place(items, n, total // n, remember_dead=True) == _place(items, n, total // n)
 
 
-@pytest.mark.parametrize("items", [[7, 1, 5, 2, 3, 3, 2, 10], [2, 10, 1, 5, 10, 12, 11, 12]])
-def test_place_at_its_dead_state_cap_finds_the_same_placement(items, monkeypatch):
-    # a full set stops recording; the states it holds still prune only empty branches
-    monkeypatch.setattr(riskcal.space, "_DEAD_STATES_CAP", 2)
-    assert _place(items, 3, sum(items) // 3, remember_dead=True) == _place(items, 3, sum(items) // 3)
-
-
 def _grid_or_refusal(space, filt, n):
     """build_uniform_grid's grid, or the message of its ResolutionUnavailableError."""
     try:
@@ -666,6 +660,40 @@ def test_grid_takes_the_existence_placement_where_the_canonical_split_runs_out(m
 # one block of 40 masses w/720 whose resolution is 12
 H40 = [29, 37, 33, 3, 14, 18, 12, 8, 23, 17, 25, 1, 31, 7, 3, 10, 40, 30, 3, 10,
        39, 20, 8, 17, 20, 10, 31, 33, 5, 22, 2, 20, 22, 13, 9, 20, 10, 30, 18, 17]
+
+
+def _budget_comment() -> str:
+    """The comment above `_SEARCH_BUDGET =` in riskcal/space.py, its lines joined by spaces."""
+    lines = inspect.getsource(riskcal.space).splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("_SEARCH_BUDGET ="))
+    start = end
+    while lines[start - 1].startswith("#"):
+        start -= 1
+    return " ".join(line.lstrip("# ") for line in lines[start:end])
+
+
+# the searches whose backtracks the _SEARCH_BUDGET comment records, by their block's outcome count,
+# each with its answer: h40 is refuted at n = 15, and each ramp splits at its conditional resolution
+_RECORDED_SEARCHES = {
+    40: (lambda: _split_exists(H40, 15), False),
+    14: (lambda: _equal_split(_ramp(14), 7) is not None, True),
+    12: (lambda: _equal_split(_ramp(12), 6) is not None, True),
+}
+
+
+def test_each_count_in_the_budget_comment_is_its_search_s_exact_backtracks(monkeypatch):
+    # a search decides with as many backtracks as the comment records, and runs out with one fewer
+    recorded = {int(k): int(count.replace(",", ""))
+                for count, k in re.findall(r"(\d[\d,]*)(?: backtracks)? \(a (\d+)-outcome", _budget_comment())}
+    assert recorded.keys() == _RECORDED_SEARCHES.keys()
+    for k, count in recorded.items():
+        search, answer = _RECORDED_SEARCHES[k]
+        assert count <= riskcal.space._SEARCH_BUDGET
+        monkeypatch.setattr(riskcal.space, "_SEARCH_BUDGET", count)
+        assert search() == answer
+        monkeypatch.setattr(riskcal.space, "_SEARCH_BUDGET", count - 1)
+        with pytest.raises(riskcal.space._SearchBudgetExhausted):
+            search()
 
 
 def test_resolution_refutes_n_on_weights_that_carry_another_blocks_factor(monkeypatch):

@@ -126,6 +126,8 @@ def test_bench_pairs_summary_reads_passes_and_the_rss_slope_per_kept_pass():
     assert summary["passes"]["change_wins"] == 3  # more passes in the same run length is better
     assert summary["peak_rss_mb"]["mb_per_pass"] == pytest.approx(0.25)
     assert summary["peak_rss_mb"]["slope_runs"] == 6
+    # the parent's median is 11 passes at 42.75 MB; 10% more RSS, 47.025 MB, is 28.1 passes on the line
+    assert summary["peak_rss_mb"]["speedup_room"] == pytest.approx(28.1 / 11)
     # runs that note no pass count, or all the same one, give no slope
     assert "mb_per_pass" not in bench_pairs.summarize([{**r, "passes": 12} for r in runs])["peak_rss_mb"]
     assert "passes" not in bench_pairs.summarize([_run(r["pair"], r["side"], 1.0, 50.0) for r in runs])

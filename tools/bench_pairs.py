@@ -18,7 +18,10 @@ change/parent, and for the end-to-end metrics of BENCHMARK.json whether
 that ratio stays within the metric's bound. Since perfbench/run.py keeps
 every pass's reports, peak_rss_mb grows with the passes a faster side
 keeps: over all runs of the invocation it prints the least-squares slope of
-peak_rss_mb against passes (MB per kept pass) and its run count. `--out`
+peak_rss_mb against passes (MB per kept pass) and its run count, and the
+largest speed-up that fit leaves inside the peak_rss_mb bound:
+s = (R * (1 + bound) - a) / (b * P), with a and b the fit's intercept and
+slope and R and P the parent's median peak_rss_mb and passes. `--out`
 writes the runs and that summary as JSON. Exits 1 if any run is not
 `correct` or failed commands, else 0; 2 if REV cannot be exported.
 """
@@ -74,7 +77,9 @@ def summarize(runs: list[dict]) -> dict:
     and quartiles, the change's pair wins, the change/parent ratio of medians
     and, for end-to-end metrics, the bound. The peak_rss_mb row also gets
     `mb_per_pass` and `slope_runs`, the least-squares slope of peak_rss_mb
-    against passes over every run, when the runs kept more than one count."""
+    against passes over every run, when the runs kept more than one count,
+    and with a positive slope `speedup_room`, the speed-up at which that line
+    reaches the parent's median peak_rss_mb times 1 + bound."""
     pairs: dict[int, dict] = {}
     for run in runs:
         values = {name: m["value"] for name, m in run["metrics"].items()}
@@ -107,8 +112,12 @@ def summarize(runs: list[dict]) -> dict:
         passes = [run["passes"] for run in runs]
         if len(set(passes)) > 1:
             rss = [run["metrics"]["peak_rss_mb"]["value"] for run in runs]
-            summary["peak_rss_mb"]["mb_per_pass"] = statistics.linear_regression(passes, rss).slope
-            summary["peak_rss_mb"]["slope_runs"] = len(runs)
+            fit = statistics.linear_regression(passes, rss)
+            row = summary["peak_rss_mb"]
+            row["mb_per_pass"], row["slope_runs"] = fit.slope, len(runs)
+            if fit.slope > 0:  # the speed-up whose passes, on the fit, reach the parent's RSS at the bound
+                ceiling = row["parent"]["median"] * (1 + BOUNDS["peak_rss_mb"]["bound"])
+                row["speedup_room"] = (ceiling - fit.intercept) / (fit.slope * summary["passes"]["parent"]["median"])
     return summary
 
 
@@ -127,6 +136,8 @@ def print_summary(summary: dict) -> None:
     rss = summary.get("peak_rss_mb", {})
     if "mb_per_pass" in rss:
         print(f"peak_rss_mb per kept pass: {rss['mb_per_pass']:.4g} MB (least squares over {rss['slope_runs']} runs)")
+    if "speedup_room" in rss:
+        print(f"largest speed-up within the peak_rss_mb bound: {rss['speedup_room']:.3g}x the parent's passes")
 
 
 def main(argv: list[str] | None = None) -> int:
