@@ -4,6 +4,7 @@ Three utility kinds, each with one evaluation path, CoherentUtility.evaluate:
 
 * distortion (Choquet) utilities u(x) = integral of x against v = psi(P),
   psi convex with psi(0)=0, psi(1)=1, its formula written once in psi_at;
+  the expectation is additive, its psi differences exactly its tie masses;
 * scenario-set duals u(x) = min over finitely many measures Q of E_Q[x];
 * a two-layer product-grid example where the distortion exponent varies
   with the row coordinate.
@@ -280,8 +281,9 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
 
     Sort formula on descending values: sum of x_(k) * (psi(s_k) - psi(s_{k-1}))
     with s_k the cumulative mass of the top k outcomes. Equal values are merged
-    before psi is applied, so the result cannot depend on tie order. Each mass
-    enters the merge table unchanged: a Fraction addition happens only on a tie.
+    before psi is applied, so the result cannot depend on tie order; a Fraction
+    addition happens only on a tie. The expectation is additive, psi(s) = s, so a
+    level's weight is float(its tie mass): the psi difference exactly, same bits.
     """
     if len(x.values) != space.size:
         raise ValueError(f"payoff has {len(x.values)} entries for {space.size} outcomes")
@@ -289,6 +291,10 @@ def choquet_eval(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace
     for v, m in zip(x.values, space.mass):
         mass_at[v] = mass_at[v] + m if v in mass_at else m
     total = 0.0
+    if psi.kind == "expectation":
+        for v in sorted(mass_at, reverse=True):
+            total += v * float(mass_at[v])
+        return total
     s = _ZERO
     prev = 0  # psi(0) = 0 for every kind, so psi runs once per distinct payoff level
     for v in sorted(mass_at, reverse=True):

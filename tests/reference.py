@@ -5,8 +5,9 @@ form of a function that a faster one replaced. They stay here as oracles:
 the conditional-mass lemma that find_b's direct cut {rank <= k} must
 reproduce at h = k/n, the independence of the uniform grid from F1, the
 conditional expectation, relevance, the scenario minimum summed from a
-generator, conditional commonotone additivity, and the report parsers that
-read what the CLI emits. Every test module imports them as
+generator, the Choquet integral by psi differences for every kind,
+conditional commonotone additivity, and the report parsers that read what
+the CLI emits. Every test module imports them as
 `from reference import ...`, since pytest puts this directory on sys.path.
 """
 
@@ -21,7 +22,7 @@ from math import floor
 from riskcal.conditional import GAP_TOL, ConditionalUtility, _block_values
 from riskcal.io import SchemaError, _load_json
 from riskcal.space import EventSet, Filtration, OutcomeSpace, Partition, RandomVariable, UniformGrid
-from riskcal.utility import CoherentUtility, ScenarioSet, is_commonotone_pair
+from riskcal.utility import CoherentUtility, DistortionFunction, ScenarioSet, is_commonotone_pair
 
 __all__ = [
     "ConditionalMassResult",
@@ -31,6 +32,7 @@ __all__ = [
     "independence_check",
     "relevance_check",
     "scenario_min_by_generator",
+    "choquet_by_psi_differences",
     "conditional_commonotone_additivity_check",
     "parse_report",
     "parse_report_csv",
@@ -146,6 +148,26 @@ def scenario_min_by_generator(x: RandomVariable, s: ScenarioSet) -> tuple[float,
         if e < best:
             best, best_idx = e, idx
     return best, best_idx
+
+
+def choquet_by_psi_differences(x: RandomVariable, psi: DistortionFunction, space: OutcomeSpace) -> float:
+    """choquet_eval as every kind ran it before the expectation weighted its
+    levels by their tie masses: psi at the cumulative Fraction mass of each
+    level, and the level weighted by the float of the Fraction difference."""
+    if len(x.values) != space.size:
+        raise ValueError(f"payoff has {len(x.values)} entries for {space.size} outcomes")
+    mass_at: dict = {}
+    for v, m in zip(x.values, space.mass):
+        mass_at[v] = mass_at[v] + m if v in mass_at else m
+    total = 0.0
+    s = Fraction(0)
+    prev = 0  # psi(0) = 0 for every kind, so psi runs once per distinct payoff level
+    for v in sorted(mass_at, reverse=True):
+        s += mass_at[v]
+        cur = psi.psi(s)
+        total += v * float(cur - prev)
+        prev = cur
+    return total
 
 
 # ---------------------------------------------------------------- conditional

@@ -6,6 +6,7 @@ import ast
 import importlib
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -58,6 +59,14 @@ def test_every_report_matches_its_recorded_digest(monkeypatch):
     assert len(lines) == len(recorded), f"{len(lines)} commands run, {len(recorded)} recorded"
     if not left_out:
         assert report_battery.total(lines) == recorded_total
+
+
+def test_readme_gives_the_battery_s_command_count():
+    # the count went stale when a group was added and README was not edited
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    with report_battery.scratch_dir():
+        commands = report_battery.commands()
+    assert re.findall(r"fixed list\s+of ([\d,]+) commands", readme) == [f"{len(commands):,}"]
 
 
 def test_report_battery_against_an_unknown_revision_prints_one_line_and_exits_2():

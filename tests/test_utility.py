@@ -27,7 +27,7 @@ from riskcal import (
     product_space,
     scenario_min_eval,
 )
-from reference import relevance_check, scenario_min_by_generator
+from reference import choquet_by_psi_differences, relevance_check, scenario_min_by_generator
 
 U2 = OutcomeSpace.uniform(2)
 U3 = OutcomeSpace.uniform(3)
@@ -575,6 +575,41 @@ def test_choquet_matches_the_fraction_reference_bit_for_bit_on_masses_over_1e400
     space = OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), masses)
     got, want = choquet_eval(RandomVariable(values), psi, space), choquet_reference(values, masses, psi)
     assert got == want and repr(got) == repr(want)
+
+
+# ------------------------------------------- the expectation's tie masses
+
+# signed zeros, subnormals and magnitudes up to 1e300
+WIDE_PAYOFF = st.one_of(TIE_VALUE, st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+                        st.floats(-1e300, 1e300))
+
+
+@st.composite
+def additive_cases(draw):
+    """Payoffs drawn from a pool, so wide values tie too, and masses over mixed
+    denominators on 1 to 16 outcomes; the one-outcome space may hold the int 1."""
+    n = draw(st.integers(1, 16))
+    if n == 1 and draw(st.booleans()):
+        masses = (1,)
+    else:
+        parts = draw(st.lists(st.fractions(Fraction(1, 60), 1, max_denominator=60), min_size=n, max_size=n))
+        masses = tuple(f / sum(parts) for f in parts)
+    pool = draw(st.lists(WIDE_PAYOFF, min_size=1, max_size=n))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))), masses
+
+
+@settings(max_examples=300, deadline=None)
+@given(additive_cases())
+# a tie of masses 1/10 and 1/5: weighted once by 0.3, not by 0.1 and then 0.2, whose float sum is above it
+@example(((1.0, 1.0, 0.0), (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))))
+@example(((3.5,), (1,)))
+def test_expectation_weights_each_level_by_its_tie_mass_with_the_bits_of_psi_differences(case):
+    values, masses = case
+    space = OutcomeSpace(tuple(f"w{i}" for i in range(len(masses))), masses)
+    x = RandomVariable(values)
+    assert choquet_eval(x, EXPECTATION, space).hex() == choquet_by_psi_differences(x, EXPECTATION, space).hex()
+    with pytest.raises(ValueError, match=f"^payoff has {len(values) + 1} entries for {len(values)} outcomes$"):
+        choquet_eval(RandomVariable(values + (0.0,)), EXPECTATION, space)
 
 
 # ------------------------------------------- every psi formula in psi_at

@@ -196,6 +196,7 @@ SEARCH_BUDGET = {  # one block of 40 masses w/720, whose split searches run long
                                                 10, 30, 18, 17)],
                  "f1_blocks": [list(range(40))]},
 }
+ONE_OUTCOME = {"one_outcome.json": {"masses": [1], "f1_blocks": [[0]]}}  # one outcome, its mass the int 1
 FORMATS = [[], ["--format", "csv"]]
 DIRECTORY = "a_directory"  # made in the scratch directory, given where a file is expected
 
@@ -513,9 +514,19 @@ def search_budget() -> list[list[str]]:
     return [["validate", "--space", space, *fmt] for fmt in FORMATS] + [[*lift, *fmt] for fmt in FORMATS]
 
 
+def additive() -> list[list[str]]:
+    """`eval`, `tc-check` and `cone-check` of the expectation, in text and csv,
+    on the space with a block mass that is 0.0 in float64 and on one outcome."""
+    cmds = []
+    for space in (*UNDERFLOW, *ONE_OUTCOME):
+        both = ["--space", space, "--utility", "utility_expectation.json", "--probes", "20"]
+        cmds += [[command, *both, *fmt] for command in ("eval", "tc-check", "cone-check") for fmt in FORMATS]
+    return cmds
+
+
 GROUPS = (shipped, refusals, malformed, check_order, ragged, negative_vectors, splits, conditioned, mixed,
           exact_scenarios, es_levels, quotient, psi_inverses, demo_seeds, edges, broken_files, requested_grids,
-          product_grids, mass_violations, ramp_grids, scenario_lifts, search_budget)
+          product_grids, mass_violations, ramp_grids, scenario_lifts, search_budget, additive)
 
 
 def commands() -> list[list[str]]:
@@ -557,9 +568,10 @@ def run(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def reports():
-    """Run the battery in a scratch directory at COLUMNS=80, yielding
-    (argv, exit code, stdout, stderr) for each command in order."""
+@contextlib.contextmanager
+def scratch_dir():
+    """A scratch directory holding every file the battery names, the working
+    directory while the block runs, since commands() reads some of them."""
     with tempfile.TemporaryDirectory() as work:
         for name in SPACES + UTILITIES:
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
@@ -568,21 +580,28 @@ def reports():
                           **LONG_SPLIT, **MIXED, **EXACT_SCENARIOS, **UNKNOWN_KEYS,
                           **NON_DYADIC_ES, **INTERLEAVED, **SINGLE, **SLACK, **REQUESTED_GRIDS,
                           **PRODUCT_GRIDS, **MASS_VIOLATIONS, **RAMP_GRIDS, **RECTANGULAR,
-                          **SEARCH_BUDGET}.items():
+                          **SEARCH_BUDGET, **ONE_OUTCOME}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         for name, text in {**DUPLICATE_KEYS, **BROKEN_FILES}.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         os.mkdir(os.path.join(work, DIRECTORY))
-        os.environ["COLUMNS"] = "80"
         here = os.getcwd()
         os.chdir(work)
         try:
-            for argv in commands():
-                yield (argv, *run(argv))
+            yield
         finally:
             os.chdir(here)
+
+
+def reports():
+    """Run the battery in its scratch directory at COLUMNS=80, yielding
+    (argv, exit code, stdout, stderr) for each command in order."""
+    with scratch_dir():
+        os.environ["COLUMNS"] = "80"
+        for argv in commands():
+            yield (argv, *run(argv))
 
 
 def fingerprint(argv: list[str], code, out: str, err: str) -> str:
